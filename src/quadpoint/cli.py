@@ -4,12 +4,15 @@ Every subcommand reads the documented text formats, writes deterministic
 ``key value`` lines to stdout, and reports failures as one machine-
 readable line on stderr: ``error <kind>: <detail>`` with kind one of
 usage, parse, precondition, membership, guard.  Exit codes: 0 success,
-1 usage or parse error, 2 precondition or membership failure.
+1 usage or parse error, 2 precondition or membership failure.  Every
+form must be non-degenerate.  A reader that closes stdout early ends the
+command quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -50,10 +53,8 @@ def _load_matrix(arg: str) -> BitMatrix:
 
 def _cmd_arf(args) -> int:
     f = formats.parse_form(_read(args.form))
-    from .quadform import arf, is_nondegenerate
+    from .quadform import arf
 
-    if not is_nondegenerate(f):
-        raise ValueError("degenerate form")
     print(f"arf {arf(f)}")
     return 0
 
@@ -189,7 +190,14 @@ def main(argv=None) -> int:
         print(f"error usage: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: nothing left to say.  Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as exc:
         print(f"error usage: {exc}", file=sys.stderr)
         return 1

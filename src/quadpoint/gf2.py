@@ -136,24 +136,13 @@ class BitMatrix:
         return BitVector(self.rows, bits)
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            t = r
-            while t:
-                low = t & -t
-                out[low.bit_length() - 1] |= 1 << i
-                t ^= low
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        return BitMatrix(self.cols, self.rows, tuple(_transpose(self.data, self.cols)))
 
     def apply(self, v: BitVector) -> BitVector:
         """Matrix times column vector."""
         if v.length != self.cols:
             raise ValueError("length mismatch")
-        bits = 0
-        for i, r in enumerate(self.data):
-            if (r & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BitVector(self.rows, bits)
+        return BitVector(self.rows, _matvec(self.data, v.bits))
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -196,16 +185,63 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.rows:
         raise ValueError(
             f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = []
-    for ra in a.data:
-        acc = 0
-        t = ra
-        while t:
-            low = t & -t
-            acc ^= b.data[low.bit_length() - 1]
-            t ^= low
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(out))
+    return BitMatrix(a.rows, b.cols, tuple(_mul_rows(a.data, b.data)))
+
+
+# -- the packed-row kernel ---------------------------------------------------
+#
+# Unchecked helpers on bare row tuples or lists, shared by every module: the
+# public functions validate shapes once and then call these.
+
+def _combine(rows: Sequence[int], bits: int) -> int:
+    """XOR of the rows picked by the set bits: the row vector bits^T . rows."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def _mul_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Rows of the product a . b."""
+    return [_combine(b, r) for r in a]
+
+
+def _transpose(data: Sequence[int], cols: int) -> list[int]:
+    """Rows of the transpose of a matrix with the given rows and width."""
+    out = [0] * cols
+    for i, r in enumerate(data):
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return out
+
+
+def _matvec(rows: Sequence[int], vbits: int) -> int:
+    """Matrix times column vector."""
+    out = 0
+    for i, r in enumerate(rows):
+        if (r & vbits).bit_count() & 1:
+            out |= 1 << i
+    return out
+
+
+def _transvect(rows: Sequence[int], cbits: int, wbits: int) -> list[int]:
+    """Rows of (Id + c w^T) . m, for m given by its rows.
+
+    With w = gram . c this is left multiplication by the transvection
+    x -> x + B(x,c) c, as a rank-one update: the row w^T . m is added to
+    every row i with c_i = 1.
+    """
+    acc = _combine(rows, wbits)
+    out = list(rows)
+    while cbits:
+        low = cbits & -cbits
+        out[low.bit_length() - 1] ^= acc
+        cbits ^= low
+    return out
 
 
 def _rref(data: Sequence[int], cols: int) -> tuple[list[int], list[int]]:

@@ -12,9 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, multiply, rank
+from .gf2 import BitMatrix, BitVector, _mul_rows, _transvect, rank
 from .orthogroup import canonical_umap, is_orthogonal, transvection_matrix
-from .quadform import QuadraticForm, arf, evaluate, standard_form, standard_gram
+from .quadform import (
+    QuadraticForm,
+    _gram_bits,
+    _pullback_bits,
+    arf,
+    evaluate,
+    standard_form,
+    standard_gram,
+)
 
 
 class NotRegularlyHomotopicError(ValueError):
@@ -65,8 +73,8 @@ class MappingClass:
         m = self.action
         if not m.is_square() or m.rows % 2:
             raise ValueError("action must be square of even dimension")
-        gram = standard_gram(m.rows // 2)
-        if multiply(multiply(m.transpose(), gram), m) != gram:
+        intersection = standard_form(m.rows // 2, 0)
+        if _pullback_bits(intersection, m.data)[0] != intersection.gram.data:
             raise ValueError("action must preserve the intersection form")
 
 
@@ -125,7 +133,7 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
     involution with epsilon 0.
     """
     dim = 2 * s.genus
-    action = BitMatrix.identity(dim)
+    rows = BitMatrix.identity(dim).data
     eps = 0
     for token in word:
         if token.kind in ("twist", "square"):
@@ -133,16 +141,16 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
             if c is None or c.length != dim:
                 raise ValueError(f"{token.kind} vector must have length {dim}")
             if token.kind == "twist":
-                action = multiply(transvection_matrix(s.form, c), action)
+                rows = _transvect(rows, c.bits, _gram_bits(s.form, c.bits))
         elif token.kind == "flip":
             eps ^= 1
         elif token.kind == "umap":
             if s.genus != 2 or arf(s.form) != 0:
                 raise ValueError("the swap token requires genus 2 with Arf 0")
-            action = multiply(canonical_umap(s.form).matrix, action)
+            rows = _mul_rows(canonical_umap(s.form).matrix.data, rows)
         else:
             raise ValueError(f"unknown token kind: {token.kind}")
-    return MappingClass(action, eps)
+    return MappingClass(BitMatrix(dim, dim, tuple(rows)), eps)
 
 
 def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
@@ -150,14 +158,20 @@ def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
     return is_orthogonal(s.form, h.action)
 
 
-def mapping_class_parity(s: SurfacePinkallForm, h: MappingClass) -> int:
-    """rank(h* - Id) + (genus + 1) eps(h), mod 2."""
+def _parity(s: SurfacePinkallForm, h: MappingClass, not_member: ValueError) -> int:
+    """rank(h* - Id) + (genus + 1) eps(h), mod 2; raises not_member when h
+    does not preserve the form."""
     if h.action.rows != 2 * s.genus:
         raise ValueError("dimension mismatch")
     if not in_orthogonal_mcg(s, h):
-        raise ValueError("mapping class does not preserve the form")
+        raise not_member
     r = rank(h.action ^ BitMatrix.identity(h.action.rows))
     return (r + (s.genus + 1) * h.epsilon) & 1
+
+
+def mapping_class_parity(s: SurfacePinkallForm, h: MappingClass) -> int:
+    """rank(h* - Id) + (genus + 1) eps(h), mod 2."""
+    return _parity(s, h, ValueError("mapping class does not preserve the form"))
 
 
 def quadruple_point_invariant(s: SurfacePinkallForm, h: MappingClass) -> int:
@@ -166,12 +180,8 @@ def quadruple_point_invariant(s: SurfacePinkallForm, h: MappingClass) -> int:
     Defined only when the two are regularly homotopic, i.e. when h
     preserves the induced form.
     """
-    if h.action.rows != 2 * s.genus:
-        raise ValueError("dimension mismatch")
-    if not in_orthogonal_mcg(s, h):
-        raise NotRegularlyHomotopicError(
-            "not regularly homotopic: the class does not preserve the induced form")
-    return mapping_class_parity(s, h)
+    return _parity(s, h, NotRegularlyHomotopicError(
+        "not regularly homotopic: the class does not preserve the induced form"))
 
 
 def regularly_homotopic(s1: SurfacePinkallForm, s2: SurfacePinkallForm) -> bool:

@@ -12,9 +12,15 @@ import random
 from dataclasses import dataclass
 
 from . import guards
-from .gf2 import BitMatrix, BitVector, multiply, parity, rank_rows
-from .orthogroup import OrthogonalMap, _is_orthogonal_data, rank_parity, transvection
-from .quadform import QuadraticForm, _evaluate_bits, _require_nondegenerate
+from .gf2 import BitMatrix, _mul_rows, _transvect, parity, rank_rows
+from .orthogroup import OrthogonalMap, rank_parity
+from .quadform import (
+    QuadraticForm,
+    _bil_bits,
+    _evaluate_bits,
+    _gram_bits,
+    _require_nondegenerate,
+)
 
 
 def matrix_key(m: BitMatrix) -> str:
@@ -36,6 +42,27 @@ class GroupTable:
         return cls(f, tuple(ordered), tuple(rank_parity(m) for m in ordered))
 
 
+def preserves_pairwise(f: QuadraticForm, data) -> bool:
+    """Whether the square matrix with these rows is invertible and preserves g.
+
+    Checks the rank, g on every column and B on every pair of columns,
+    which is equivalent to g(m x) = g(x) for every x by polarization.
+    """
+    dim = f.dim
+    if rank_rows(data) != dim:
+        return False
+    cols = [sum(((r >> j) & 1) << i for i, r in enumerate(data)) for j in range(dim)]
+    gbits = f.basis_g.bits
+    gram = f.gram.data
+    for i in range(dim):
+        if _evaluate_bits(f, cols[i]) != (gbits >> i) & 1:
+            return False
+        for j in range(i + 1, dim):
+            if _bil_bits(f, cols[i], cols[j]) != (gram[i] >> j) & 1:
+                return False
+    return True
+
+
 def filter_full_linear_group(f: QuadraticForm) -> GroupTable:
     """All invertible matrices preserving f, by scanning the full matrix space."""
     dim = f.dim
@@ -44,7 +71,7 @@ def filter_full_linear_group(f: QuadraticForm) -> GroupTable:
     found = []
     for code in range(1 << (dim * dim)):
         data = tuple((code >> (i * dim)) & mask for i in range(dim))
-        if rank_rows(data) == dim and _is_orthogonal_data(f, data):
+        if preserves_pairwise(f, data):
             found.append(BitMatrix(dim, dim, data))
     return GroupTable.from_elements(f, found)
 
@@ -80,16 +107,7 @@ def homomorphism_table(table: GroupTable) -> bool:
     datas = [m.data for m in table.elements]
     for m1, p1 in zip(datas, table.psi_values):
         for m2, p2 in zip(datas, table.psi_values):
-            out = []
-            for row in m1:
-                acc = 0
-                t = row
-                while t:
-                    low = t & -t
-                    acc ^= m2[low.bit_length() - 1]
-                    t ^= low
-                out.append(acc)
-            q = index.get(tuple(out))
+            q = index.get(tuple(_mul_rows(m1, m2)))
             if q is None or q != p1 ^ p2:
                 return False
     return True
@@ -100,7 +118,7 @@ def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap
     _require_nondegenerate(f)
     rng = random.Random(seed)
     dim = f.dim
-    m = BitMatrix.identity(dim)
+    rows = BitMatrix.identity(dim).data
     for _ in range(length):
         if dim == 0:
             raise ValueError("the zero-dimensional form has no g=1 vectors")
@@ -108,8 +126,8 @@ def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap
             v = rng.getrandbits(dim)
             if v and _evaluate_bits(f, v):
                 break
-        m = multiply(transvection(f, BitVector(dim, v)).matrix, m)
-    return OrthogonalMap(f, m)
+        rows = _transvect(rows, v, _gram_bits(f, v))
+    return OrthogonalMap(f, BitMatrix(dim, dim, tuple(rows)))
 
 
 def orthogonal_group_order(dim: int, arf_value: int) -> int:

@@ -11,27 +11,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import guards
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _matvec,
+    _mul_rows,
+    _transpose,
+    _transvect,
     inverse,
     kernel_basis,
     multiply,
     rank,
-    rank_rows,
     solve,
 )
 from .quadform import (
+    FORM_CACHE_SIZE,
     QuadraticForm,
     _bil_bits,
+    _connector,
     _evaluate_bits,
     _gram_bits,
+    _preserves,
+    _require_nondegenerate,
     arf,
     evaluate,
-    find_connector,
     is_nondegenerate,
     symplectic_basis,
 )
@@ -46,43 +52,12 @@ def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
     return BitMatrix(f.dim, f.dim, rows)
 
 
-def _columns(data: Sequence[int], dim: int) -> list[int]:
-    cols = [0] * dim
-    for i, row in enumerate(data):
-        t = row
-        while t:
-            low = t & -t
-            cols[low.bit_length() - 1] |= 1 << i
-            t ^= low
-    return cols
-
-
-def _is_orthogonal_data(f: QuadraticForm, data: Sequence[int]) -> bool:
-    dim = f.dim
-    if rank_rows(data) != dim:
-        return False
-    cols = _columns(data, dim)
-    gbits = f.basis_g.bits
-    for i in range(dim):
-        if _evaluate_bits(f, cols[i]) != (gbits >> i) & 1:
-            return False
-    gram = f.gram.data
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if _bil_bits(f, cols[i], cols[j]) != (gram[i] >> j) & 1:
-                return False
-    return True
-
-
 def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
-    """Whether m is invertible and preserves g.
-
-    Checking g on basis vectors and B on basis pairs is equivalent to
-    checking g everywhere, by polarization.
-    """
+    """Whether m preserves g; such an m is invertible, as f is non-degenerate."""
+    _require_nondegenerate(f)
     if not m.is_square() or m.rows != f.dim:
         raise ValueError("dimension mismatch")
-    return _is_orthogonal_data(f, m.data)
+    return _preserves(f, m.data)
 
 
 @dataclass(frozen=True)
@@ -138,7 +113,7 @@ class UMapPartition:
     v2: frozenset[BitVector]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def umap_partition(f: QuadraticForm) -> UMapPartition:
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
@@ -159,7 +134,7 @@ def is_u_map(t: OrthogonalMap) -> bool:
     return t.apply(probe) in part.v2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
     """The canonical involutive swap of the two partition triples.
 
@@ -177,14 +152,6 @@ def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
 
 
 # -- decomposition into generators ------------------------------------------
-
-def _matvec(rows: Sequence[int], vbits: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        if (r & vbits).bit_count() & 1:
-            out |= 1 << i
-    return out
-
 
 def _normalized_pairs(f: QuadraticForm) -> tuple[list[int], list[int]]:
     """Symplectic basis adjusted so that every a_i has g = 1.
@@ -224,16 +191,8 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     applied: list[int] = []
 
     def push(cbits: int) -> None:
-        w = _gram_bits(f, cbits)
-        acc = 0
-        t = w
-        while t:
-            low = t & -t
-            acc ^= cur[low.bit_length() - 1]
-            t ^= low
-        for i in range(dim):
-            if (cbits >> i) & 1:
-                cur[i] ^= acc
+        nonlocal cur
+        cur = _transvect(cur, cbits, _gram_bits(f, cbits))
         applied.append(cbits)
 
     for k in range(n):
@@ -244,12 +203,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
         if _bil_bits(f, image, target):
             push(image ^ target)
             continue
-        z = find_connector(
-            f,
-            [BitVector(dim, a_bits[i]) for i in range(k)],
-            BitVector(dim, image),
-            BitVector(dim, target),
-        ).bits
+        z = _connector(f, a_bits[:k], image, target)
         push(image ^ z)
         push(z ^ target)
 
@@ -259,13 +213,8 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
         if delta == 0:
             continue
         span = a_bits[j:]
-        rows = []
-        for i in range(dim):
-            r = 0
-            for t, c in enumerate(span):
-                r |= ((c >> i) & 1) << t
-            rows.append(r)
-        coeffs = solve(BitMatrix(dim, len(span), tuple(rows)), BitVector(dim, delta))
+        rows = tuple(_transpose(span, dim))
+        coeffs = solve(BitMatrix(dim, len(span), rows), BitVector(dim, delta))
         if coeffs is None:
             raise ValueError("restoration failed: correction outside expected span")
         if coeffs.bits & 1:
@@ -279,43 +228,6 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     return [BitVector(dim, c) for c in reversed(applied)]
 
 
-def _bfs_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
-    """Shortest transvection word for m by breadth-first search (small dims)."""
-    dim = f.dim
-    gens = [(v, transvection_matrix(f, BitVector(dim, v)).data)
-            for v in range(1, 1 << dim) if _evaluate_bits(f, v)]
-    identity = tuple(1 << i for i in range(dim))
-    target = tuple(m.data)
-    seen: dict[tuple[int, ...], list[int]] = {identity: []}
-    frontier = [identity]
-    while frontier and target not in seen:
-        nxt = []
-        for state in frontier:
-            word = seen[state]
-            for vbits, gdata in gens:
-                prod = tuple(_matvec_rows(gdata, state))
-                if prod not in seen:
-                    seen[prod] = word + [vbits]
-                    nxt.append(prod)
-        frontier = nxt
-    if target not in seen:
-        raise ValueError("matrix is not a product of transvections")
-    return [BitVector(dim, c) for c in seen[target]]
-
-
-def _matvec_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = []
-    for ra in a:
-        acc = 0
-        t = ra
-        while t:
-            low = t & -t
-            acc ^= b[low.bit_length() - 1]
-            t ^= low
-        out.append(acc)
-    return out
-
-
 def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
     """Factor t as (optional canonical swap, then a transvection word).
 
@@ -325,33 +237,23 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
     length is congruent to rank(t - Id) mod 2.
     """
     f = t.form
-    dim = f.dim
-    if dim == 0:
-        return 0, []
     u_flag = 0
     work = t.matrix
-    if dim == 4 and is_nondegenerate(f) and arf(f) == 0 and is_u_map(t):
+    if f.dim == 4 and arf(f) == 0 and is_u_map(t):
         u_flag = 1
         work = multiply(work, canonical_umap(f).matrix)
-    try:
-        word = _restoration_word(f, work)
-    except ValueError:
-        if dim > 4:
-            raise
-        word = _bfs_word(f, work)
-    return u_flag, word
+    return u_flag, _restoration_word(f, work)
 
 
 def recompose(f: QuadraticForm, u_flag: int, word: Iterable[BitVector]) -> BitMatrix:
     """Product of the decomposition: swap first (if flagged), then the word."""
-    m = BitMatrix.identity(f.dim)
-    if u_flag:
-        m = canonical_umap(f).matrix
+    _require_nondegenerate(f)
+    rows = canonical_umap(f).matrix.data if u_flag else BitMatrix.identity(f.dim).data
     for c in word:
-        if not c.is_zero() and evaluate(f, c) != 1:
+        if evaluate(f, c) != 1 and not c.is_zero():  # evaluate checks the length
             raise ValueError("word vector must satisfy g(c) = 1 or c = 0")
-        m = multiply(transvection_matrix(f, c), m)
-    return m
+        rows = _transvect(rows, c.bits, _gram_bits(f, c.bits))
+    return BitMatrix(f.dim, f.dim, tuple(rows))
 
 
 def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatrix]:
@@ -361,6 +263,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     identity is the full generated group.
     """
     dim = f.dim
+    _require_nondegenerate(f)
     guards.check_dim(dim, 8, "group enumeration")
     identity = tuple(1 << i for i in range(dim))
     tgens = []
@@ -368,7 +271,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
         if _evaluate_bits(f, v):
             tgens.append((v, _gram_bits(f, v)))
     u0 = None
-    if include_umap and dim == 4 and is_nondegenerate(f) and arf(f) == 0:
+    if include_umap and dim == 4 and arf(f) == 0:
         u0 = canonical_umap(f).matrix.data
     seen = {identity}
     frontier = [identity]
@@ -376,21 +279,12 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
         nxt = []
         for state in frontier:
             for abits, wbits in tgens:
-                acc = 0
-                t = wbits
-                while t:
-                    low = t & -t
-                    acc ^= state[low.bit_length() - 1]
-                    t ^= low
-                prod = tuple(
-                    (row ^ acc) if (abits >> i) & 1 else row
-                    for i, row in enumerate(state)
-                )
+                prod = tuple(_transvect(state, abits, wbits))
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
             if u0 is not None:
-                prod = tuple(_matvec_rows(u0, state))
+                prod = tuple(_mul_rows(u0, state))
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

@@ -14,7 +14,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .gf2 import BitMatrix, BitVector, kernel_basis, parity, rank, rank_rows, solve
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    _matvec,
+    _mul_rows,
+    _transpose,
+    kernel_basis,
+    parity,
+    rank,
+    rank_rows,
+    solve,
+)
+
+# Entries kept by each form-keyed cache, here and in orthogroup: a process
+# that meets many forms keeps only the most recent ones.
+FORM_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -81,11 +96,29 @@ def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
 
 def _gram_bits(f: QuadraticForm, vbits: int) -> int:
     """Packed image of v under the Gram matrix: bit j = B(e_j, v)."""
-    out = 0
-    for j, row in enumerate(f.gram.data):
-        if (row & vbits).bit_count() & 1:
-            out |= 1 << j
-    return out
+    return _matvec(f.gram.data, vbits)
+
+
+def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Gram rows and basis values of x -> g(m x), for square m given by its rows.
+
+    The Gram is m^T gram m; the basis values are g on the columns of m.
+    """
+    cols = _transpose(rows, f.dim)
+    gram = tuple(_mul_rows(_mul_rows(cols, f.gram.data), rows))
+    gbits = 0
+    for i, c in enumerate(cols):
+        gbits |= _evaluate_bits(f, c) << i
+    return gram, gbits
+
+
+def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
+    """Whether m^T gram m = gram and g(m e_i) = g(e_i) for every i.
+
+    By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
+    form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
+    """
+    return _pullback_bits(f, rows) == (f.gram.data, f.basis_g.bits)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -104,7 +137,7 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
     return _bil_bits(f, x.bits, y.bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def is_nondegenerate(f: QuadraticForm) -> bool:
     return rank(f.gram) == f.dim
 
@@ -116,7 +149,7 @@ def _require_nondegenerate(f: QuadraticForm) -> None:
 
 # -- structure --------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     """A symplectic basis, produced by a deterministic greedy reduction.
 
@@ -187,7 +220,7 @@ def complete_isotropic(f: QuadraticForm, a_vectors: Sequence[BitVector]) -> list
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def arf(f: QuadraticForm) -> int:
     """Arf invariant: sum of g(a_i) g(b_i) over a symplectic basis."""
     sb = symplectic_basis(f)
@@ -212,18 +245,8 @@ def pullback(f: QuadraticForm, p: BitMatrix) -> QuadraticForm:
     """The form x -> g(p x): Gram becomes p^T gram p, basis values g(p e_i)."""
     if p.rows != f.dim or p.cols != f.dim:
         raise ValueError("change of basis must be square of matching dimension")
-    cols = [p.column(j).bits for j in range(f.dim)]
-    rows = []
-    for i in range(f.dim):
-        r = 0
-        for j in range(f.dim):
-            r |= _bil_bits(f, cols[i], cols[j]) << j
-        rows.append(r)
-    gbits = 0
-    for i in range(f.dim):
-        gbits |= _evaluate_bits(f, cols[i]) << i
-    return QuadraticForm(f.dim, BitMatrix(f.dim, f.dim, tuple(rows)),
-                         BitVector(f.dim, gbits))
+    gram, gbits = _pullback_bits(f, p.data)
+    return QuadraticForm(f.dim, BitMatrix(f.dim, f.dim, gram), BitVector(f.dim, gbits))
 
 
 def standard_gram(genus: int) -> BitMatrix:
@@ -309,41 +332,42 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     if (dim, arf_value) == (4, 0) and k == 0 and a1 != a2:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
+    return BitVector(dim, _connector(f, [w.bits for w in ws], a1.bits, a2.bits))
 
-    if k > 0:
-        rows = [_gram_bits(f, w.bits) for w in ws]
-        rhs = 0
-        rows.append(_gram_bits(f, a1.bits))
-        rhs |= 1 << (len(rows) - 1)
+
+def _connector(f: QuadraticForm, ws: Sequence[int], a1: int, a2: int) -> int:
+    """find_connector on packed vectors, for callers that meet its preconditions."""
+    dim = f.dim
+    if ws:
+        rows = [_gram_bits(f, w) for w in ws]
+        rows.append(_gram_bits(f, a1))
         if a2 != a1:
-            rows.append(_gram_bits(f, a2.bits))
-            rhs |= 1 << (len(rows) - 1)
+            rows.append(_gram_bits(f, a2))
+        rhs = (1 << len(rows)) - (1 << len(ws))  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
         b = solve(BitMatrix(len(rows), dim, tuple(rows)), BitVector(len(rows), rhs))
         assert b is not None  # a1, a2 outside W makes the system consistent
-        cbits = b.bits if _evaluate_bits(f, b.bits) else b.bits ^ ws[0].bits
-        return BitVector(dim, cbits)
+        return b.bits if _evaluate_bits(f, b.bits) else b.bits ^ ws[0]
 
     if a1 == a2:
-        row = _gram_bits(f, a1.bits)
-        b = solve(BitMatrix(1, dim, (row,)), BitVector(1, 1))
+        b = solve(BitMatrix(1, dim, (_gram_bits(f, a1),)), BitVector(1, 1))
         assert b is not None
         if _evaluate_bits(f, b.bits):
-            return b
-        u_vectors = [a1.bits, b.bits]
+            return b.bits
+        u_vectors = [a1, b.bits]
         base = b.bits
     else:
-        b1, b2 = complete_isotropic(f, [a1, a2])
+        b1, b2 = complete_isotropic(f, [BitVector(dim, a1), BitVector(dim, a2)])
         base = b1.bits ^ b2.bits
         if _evaluate_bits(f, base):
-            return BitVector(dim, base)
-        u_vectors = [a1.bits, a2.bits, b1.bits, b2.bits]
+            return base
+        u_vectors = [a1, a2, b1.bits, b2.bits]
     perp_rows = BitMatrix(len(u_vectors), dim,
                           tuple(_gram_bits(f, u) for u in u_vectors))
     perp = [v.bits for v in kernel_basis(perp_rows)]
     d = _find_flip(f, 0, perp)
     if d is None:
         raise ValueError("no connector exists for the given configuration")
-    return BitVector(dim, base ^ d)
+    return base ^ d
 
 
 def find_transvection_path(f: QuadraticForm, x: BitVector, y: BitVector) -> list[BitVector]:

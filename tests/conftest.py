@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import quadpoint
 from quadpoint.gf2 import BitMatrix, BitVector
+from quadpoint.guards import ENV_VAR
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import pullback, standard_form
 
@@ -73,3 +78,22 @@ def small_groups():
         (genus, arf_value): enumerate_group(standard_form(genus, arf_value))
         for genus, arf_value in STANDARD_CASES
     }
+
+
+# Directory that holds the quadpoint package this process imported: src/ in a
+# checkout, site-packages when installed.
+SOURCE_ROOT = Path(quadpoint.__file__).resolve().parents[1]
+
+
+def child_env():
+    """The caller's environment, made to run the package under test.
+
+    SOURCE_ROOT goes first on PYTHONPATH, so a child process imports the same
+    quadpoint whatever the working directory or a relative PYTHONPATH says;
+    the guard override is dropped, so the documented default caps apply.
+    """
+    env = dict(os.environ)
+    env.pop(ENV_VAR, None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p)
+    return env

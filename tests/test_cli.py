@@ -1,14 +1,12 @@
 """CLI behaviour: golden outputs, determinism, exit codes."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import quadpoint
-from quadpoint.guards import ENV_VAR
+from conftest import child_env
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -41,29 +39,10 @@ GOLDEN_COMMANDS = {
 }
 
 
-# Directory that holds the quadpoint package this process imported: src/ in a
-# checkout, site-packages when installed.
-SOURCE_ROOT = Path(quadpoint.__file__).resolve().parents[1]
-
-
-def _child_env():
-    """The caller's environment, made to run the package under test.
-
-    SOURCE_ROOT goes first on PYTHONPATH, so the child imports the same
-    quadpoint whatever the working directory or a relative PYTHONPATH says;
-    the guard override is dropped, so the documented default caps apply.
-    """
-    env = dict(os.environ)
-    env.pop(ENV_VAR, None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def run_cli(argv, cwd=HERE):
     return subprocess.run(
         [sys.executable, "-m", "quadpoint", *argv],
-        capture_output=True, text=True, cwd=cwd, env=_child_env())
+        capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
@@ -143,6 +122,22 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stdout == "verify fail\n"
 
+    @pytest.mark.parametrize("form,matrix", [
+        ("data/form_deg3.txt", "100/010/001"),
+        ("data/form_deg4.txt", "1000/0100/0010/0001"),
+    ])
+    @pytest.mark.parametrize("command", ["psi", "decompose", "verify", "enumerate"])
+    def test_degenerate_form(self, command, form, matrix):
+        argv = [command, "--form", form]
+        if command != "enumerate":
+            argv += ["--matrix", matrix]
+        if command == "verify":
+            argv += ["--decomposition", "data/dec_empty.txt"]
+        res = run_cli(argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error precondition: degenerate form\n"
+
     def test_enumerate_guard(self, tmp_path):
         from quadpoint.formats import dump_form
         from quadpoint.quadform import standard_form
@@ -184,3 +179,25 @@ def test_decompose_verify_random(tmp_path, genus, arf_value, seed):
                      "--matrix", str(matrix_file), "--decomposition", str(dec)])
     assert check.returncode == 0
     assert check.stdout == "verify ok\n"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    from quadpoint.formats import dump_form
+    from quadpoint.quadform import standard_form
+
+    form = tmp_path / "form.txt"
+    form.write_text(dump_form(standard_form(3, 0)))  # 40,320 lines: more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadpoint", "enumerate", "--form", str(form)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=HERE,
+        env=child_env())
+    assert proc.stdout.readline() == "order 40320\n"
+    proc.stdout.close()
+    try:
+        returncode = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert "Traceback" not in stderr
+    assert (returncode, stderr) == (0, "")

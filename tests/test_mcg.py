@@ -220,6 +220,19 @@ class TestQuadruplePoints:
         with pytest.raises(NotRegularlyHomotopicError):
             quadruple_point_invariant(S10, bad)
 
+    def test_one_membership_check_per_call(self, monkeypatch):
+        from quadpoint import mcg
+
+        calls = []
+        real = mcg.is_orthogonal
+        monkeypatch.setattr(mcg, "is_orthogonal",
+                            lambda f, m: calls.append(m) or real(f, m))
+        assert quadruple_point_invariant(S10, genus1_generators(0)[3]) == 1
+        assert len(calls) == 1
+        with pytest.raises(NotRegularlyHomotopicError):
+            quadruple_point_invariant(S10, dehn_twist_action(S10, BitVector.basis(2, 0)))
+        assert len(calls) == 2
+
 
 class TestImmersionComparisons:
     def test_reflexive(self):

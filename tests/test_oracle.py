@@ -1,10 +1,11 @@
 """Brute-force engines: filtering, counting, tabulating."""
 
 import dataclasses
+import random
 
 import pytest
 
-from quadpoint.gf2 import BitMatrix, BitVector
+from quadpoint.gf2 import BitMatrix, BitVector, rank_rows
 from quadpoint.guards import DimensionGuardError
 from quadpoint.oracle import (
     GroupTable,
@@ -13,10 +14,11 @@ from quadpoint.oracle import (
     homomorphism_table,
     matrix_key,
     orthogonal_group_order,
+    preserves_pairwise,
     random_orthogonal,
 )
 from quadpoint.orthogroup import enumerate_group, is_orthogonal, rank_parity
-from quadpoint.quadform import QuadraticForm, arf, standard_form, standard_gram
+from quadpoint.quadform import QuadraticForm, arf, pullback, standard_form, standard_gram
 
 F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
@@ -47,6 +49,42 @@ class TestFilter:
     def test_guard(self):
         with pytest.raises(DimensionGuardError):
             filter_full_linear_group(standard_form(3, 0))
+
+
+class TestPairwiseReferee:
+    """is_orthogonal (m^T gram m = gram, g on columns, no rank test) against
+    the pairwise polarization check."""
+
+    @pytest.mark.parametrize("f", [F20, F21])
+    def test_every_4x4_matrix(self, f):
+        members = 0
+        for code in range(1 << 16):
+            data = tuple((code >> (4 * i)) & 0b1111 for i in range(4))
+            expected = preserves_pairwise(f, data)
+            assert is_orthogonal(f, BitMatrix(4, 4, data)) == expected, data
+            members += expected
+        assert members == orthogonal_group_order(4, arf(f))
+
+    @pytest.mark.parametrize("genus", [3, 4, 5, 6])
+    @pytest.mark.parametrize("arf_value", [0, 1])
+    def test_seeded_maps_and_one_bit_perturbations(self, genus, arf_value):
+        dim = 2 * genus
+        rng = random.Random(10 * genus + arf_value)
+        basis: list[int] = []
+        while len(basis) < dim:
+            row = rng.getrandbits(dim)
+            if rank_rows(basis + [row]) == len(basis) + 1:
+                basis.append(row)
+        f = pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(basis)))
+        for seed in range(3):
+            m = random_orthogonal(f, seed, rng.randint(0, 3 * dim)).matrix
+            assert is_orthogonal(f, m) and preserves_pairwise(f, m.data)
+            for i in range(dim):
+                for j in range(dim):
+                    rows = list(m.data)
+                    rows[i] ^= 1 << j
+                    bent = BitMatrix(dim, dim, tuple(rows))
+                    assert is_orthogonal(f, bent) == preserves_pairwise(f, bent.data)
 
 
 class TestDemocraticArf:

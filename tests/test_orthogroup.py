@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint.gf2 import BitMatrix, BitVector, multiply, rank
+from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank
 from quadpoint.guards import DimensionGuardError
 from quadpoint.orthogroup import (
     OrthogonalMap,
@@ -21,9 +21,15 @@ from quadpoint.orthogroup import (
     transvection_matrix,
     umap_partition,
 )
-from quadpoint.quadform import bilinear, evaluate, standard_form
+from quadpoint.quadform import (
+    QuadraticForm,
+    _gram_bits,
+    bilinear,
+    evaluate,
+    standard_form,
+)
 
-from conftest import all_vectors
+from conftest import all_vectors, bit_matrices, nondegenerate_forms
 
 F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
@@ -81,6 +87,36 @@ class TestTransvection:
     def test_invalid_vector(self):
         with pytest.raises(ValueError):
             transvection(F20, BitVector.basis(4, 0))  # g = 0, nonzero
+
+
+@given(st.data())
+def test_rank_one_update_is_the_transvection_product(data):
+    f = data.draw(st.one_of(st.just(standard_form(0, 0)), nondegenerate_forms()))
+    dim = f.dim
+    c = data.draw(st.sampled_from(
+        [0] + [v for v in range(1, 1 << dim) if evaluate(f, BitVector(dim, v))]))
+    m = data.draw(bit_matrices(rows=dim, cols=dim))
+    updated = BitMatrix(dim, dim, tuple(_transvect(m.data, c, _gram_bits(f, c))))
+    assert updated == multiply(transvection_matrix(f, BitVector(dim, c)), m)
+
+
+class TestDegenerateForms:
+    """Every entry point that takes a form rejects a degenerate one."""
+
+    DEG3 = QuadraticForm(3, BitMatrix.from_strings(["010", "101", "010"]),
+                         BitVector.from_string("111"))
+    DEG4 = QuadraticForm(4, BitMatrix.from_strings(["0100", "1000", "0000", "0000"]),
+                         BitVector.from_string("1000"))
+
+    @pytest.mark.parametrize("f", [DEG3, DEG4])
+    def test_rejected(self, f):
+        identity = BitMatrix.identity(f.dim)
+        for call in (lambda: OrthogonalMap(f, identity),
+                     lambda: is_orthogonal(f, identity),
+                     lambda: recompose(f, 0, []),
+                     lambda: enumerate_group(f)):
+            with pytest.raises(ValueError, match="^degenerate form$"):
+                call()
 
 
 class TestRankParity:

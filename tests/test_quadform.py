@@ -120,6 +120,34 @@ class TestNondegenerate:
             assert not is_nondegenerate(f)
 
 
+class TestFormCaches:
+    def test_bounded(self):
+        from quadpoint.orthogroup import canonical_umap, umap_partition
+        from quadpoint.quadform import FORM_CACHE_SIZE
+
+        for g in range(256):
+            arf(QuadraticForm(8, standard_gram(4), BitVector(8, g)))
+        # every non-degenerate Arf-0 form on F_2^4: 28 Gram matrices, 10 g each
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        count = 0
+        for code in range(1 << len(pairs)):
+            rows = [0] * 4
+            for k, (i, j) in enumerate(pairs):
+                if (code >> k) & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            for g in range(16):
+                f = QuadraticForm(4, BitMatrix(4, 4, tuple(rows)), BitVector(4, g))
+                if is_nondegenerate(f) and arf(f) == 0:
+                    canonical_umap(f)
+                    count += 1
+        assert count == 280
+        for cache in (is_nondegenerate, symplectic_basis, arf, umap_partition,
+                      canonical_umap):
+            info = cache.cache_info()
+            assert (info.maxsize, info.currsize) == (FORM_CACHE_SIZE, FORM_CACHE_SIZE)
+
+
 def check_symplectic(f, sb: SymplecticBasis):
     n = len(sb.a_vectors)
     assert len(sb.b_vectors) == n
