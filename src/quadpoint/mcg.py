@@ -117,7 +117,8 @@ def good_map_type(s: SurfacePinkallForm, token: Token) -> int | None:
     if token.kind != "twist":
         raise ValueError(f"not a twist token: {token.kind}")
     c = token.vector
-    assert c is not None
+    if c is None:
+        raise ValueError("twist token carries no vector")
     if evaluate(s.form, c) == 1:
         return 2
     if c.is_zero():

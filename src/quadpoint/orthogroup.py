@@ -17,15 +17,15 @@ from . import guards
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _combine,
     _matvec,
     _mul_rows,
-    _transpose,
     _transvect,
     inverse,
     kernel_basis,
     multiply,
+    parity,
     rank,
-    solve,
 )
 from .quadform import (
     FORM_CACHE_SIZE,
@@ -179,20 +179,25 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     Phase one returns each basis vector a_i to place with at most two
     transvections orthogonal to the already-restored a's (via a connector
     when B(image, target) = 0).  Phase two then fixes each b_j; at that
-    point the needed correction lies in the isotropic span of a_j..a_n and
-    splits into one or two transvections there.  The returned word is in
-    application order: composing its transvections, first entry first,
-    reproduces m.
+    point the needed correction lies in the isotropic span of a_j..a_n,
+    where B(a_i, b_j) = delta_ij makes B(delta, b_i) its coefficient of
+    a_i, and splits into one or two transvections there.  The Gram images
+    of the pairs are computed once, so every bilinear test is one parity.
+    The returned word is in application order: composing its
+    transvections, first entry first, reproduces m.
     """
     dim = f.dim
     n = dim // 2
     a_bits, b_bits = _normalized_pairs(f)
+    a_gram = [_gram_bits(f, a) for a in a_bits]
+    b_gram = [_gram_bits(f, b) for b in b_bits]
     cur = list(m.data)
     applied: list[int] = []
 
-    def push(cbits: int) -> None:
+    def push(cbits: int, wbits: int) -> None:
+        """Apply the transvection along c, given w = G c."""
         nonlocal cur
-        cur = _transvect(cur, cbits, _gram_bits(f, cbits))
+        cur = _transvect(cur, cbits, wbits)
         applied.append(cbits)
 
     for k in range(n):
@@ -200,28 +205,32 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
         image = _matvec(cur, target)
         if image == target:
             continue
-        if _bil_bits(f, image, target):
-            push(image ^ target)
+        gimage = _gram_bits(f, image)
+        if parity(image & a_gram[k]):
+            push(image ^ target, gimage ^ a_gram[k])
             continue
-        z = _connector(f, a_bits[:k], image, target)
-        push(image ^ z)
-        push(z ^ target)
+        z = _connector(f, a_bits[:k], a_gram[:k], image, target)
+        gz = _gram_bits(f, z)
+        push(image ^ z, gimage ^ gz)
+        push(z ^ target, gz ^ a_gram[k])
 
     for j in range(n):
         target = b_bits[j]
         delta = _matvec(cur, target) ^ target
         if delta == 0:
             continue
-        span = a_bits[j:]
-        rows = tuple(_transpose(span, dim))
-        coeffs = solve(BitMatrix(dim, len(span), rows), BitVector(dim, delta))
-        if coeffs is None:
+        coeffs = 0
+        for i in range(j, n):
+            if parity(delta & b_gram[i]):
+                coeffs |= 1 << i
+        if _combine(a_bits, coeffs) != delta:
             raise ValueError("restoration failed: correction outside expected span")
-        if coeffs.bits & 1:
-            push(delta)
+        wdelta = _combine(a_gram, coeffs)
+        if (coeffs >> j) & 1:
+            push(delta, wdelta)
         else:
-            push(delta ^ a_bits[j])
-            push(a_bits[j])
+            push(delta ^ a_bits[j], wdelta ^ a_gram[j])
+            push(a_bits[j], a_gram[j])
 
     if cur != [1 << i for i in range(dim)]:
         raise ValueError("restoration failed to reach the identity")

@@ -17,7 +17,7 @@ from typing import Sequence
 from .gf2 import (
     BitMatrix,
     BitVector,
-    _matvec,
+    _combine,
     _mul_rows,
     _transpose,
     kernel_basis,
@@ -95,8 +95,12 @@ def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
 
 
 def _gram_bits(f: QuadraticForm, vbits: int) -> int:
-    """Packed image of v under the Gram matrix: bit j = B(e_j, v)."""
-    return _matvec(f.gram.data, vbits)
+    """Packed image of v under the Gram matrix: bit j = B(e_j, v).
+
+    The Gram is symmetric, so G v is the XOR of the rows that v picks, and
+    B(x, v) is parity(x & G v) for every x.
+    """
+    return _combine(f.gram.data, vbits)
 
 
 def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -155,7 +159,8 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
 
     Repeatedly takes the first remaining vector x, the first partner y
     with B(x,y) = 1, and replaces the rest by their projections to the
-    orthogonal complement of the pair.
+    orthogonal complement of the pair.  G x and G y are computed once per
+    pair; B(z + x, x) = B(z, x), so the second test may read the updated z.
     """
     _require_nondegenerate(f)
     remaining = [1 << i for i in range(f.dim)]
@@ -163,7 +168,9 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     b_out: list[BitVector] = []
     while remaining:
         x = remaining[0]
-        y = next(z for z in remaining[1:] if _bil_bits(f, x, z))
+        gx = _gram_bits(f, x)
+        y = next(z for z in remaining[1:] if parity(z & gx))
+        gy = _gram_bits(f, y)
         a_out.append(BitVector(f.dim, x))
         b_out.append(BitVector(f.dim, y))
         projected = []
@@ -171,9 +178,9 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
         for z in remaining:
             if z in (x, y):
                 continue
-            if _bil_bits(f, z, y):
+            if parity(z & gy):
                 z ^= x
-            if _bil_bits(f, z, x):
+            if parity(z & gx):
                 z ^= y
             t = z
             while t:
@@ -202,21 +209,32 @@ def complete_isotropic(f: QuadraticForm, a_vectors: Sequence[BitVector]) -> list
         for j in range(i, k):
             if bilinear(f, a_vectors[i], a_vectors[j]):
                 raise ValueError(f"vectors {i} and {j} are not orthogonal")
-    if rank_rows(v.bits for v in a_vectors) != k:
+    abits = [v.bits for v in a_vectors]
+    if rank_rows(abits) != k:
         raise ValueError("vectors are not independent")
-    dual_rows = BitMatrix(k, f.dim, tuple(_gram_bits(f, v.bits) for v in a_vectors))
+    agram = [_gram_bits(f, a) for a in abits]
+    return [BitVector(f.dim, b) for b in _complete_isotropic(f, abits, agram)]
+
+
+def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],
+                        agram: Sequence[int]) -> list[int]:
+    """complete_isotropic on packed vectors and their Gram images G a_i."""
+    k = len(abits)
+    dual_rows = BitMatrix(k, f.dim, tuple(agram))
     cs = []
     for j in range(k):
         c = solve(dual_rows, BitVector.basis(k, j))
-        assert c is not None  # solvable: independent rows of an invertible Gram
+        if c is None:
+            raise ValueError("vectors are not independent")
         cs.append(c.bits)
     out = []
     for i in range(k):
         b = cs[i]
+        gc = _gram_bits(f, cs[i])
         for m in range(i + 1, k):
-            if _bil_bits(f, cs[i], cs[m]):
-                b ^= a_vectors[m].bits
-        out.append(BitVector(f.dim, b))
+            if parity(cs[m] & gc):
+                b ^= abits[m]
+        out.append(b)
     return out
 
 
@@ -332,38 +350,46 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     if (dim, arf_value) == (4, 0) and k == 0 and a1 != a2:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
-    return BitVector(dim, _connector(f, [w.bits for w in ws], a1.bits, a2.bits))
+    wbits = [w.bits for w in ws]
+    wgram = [_gram_bits(f, w) for w in wbits]
+    return BitVector(dim, _connector(f, wbits, wgram, a1.bits, a2.bits))
 
 
-def _connector(f: QuadraticForm, ws: Sequence[int], a1: int, a2: int) -> int:
-    """find_connector on packed vectors, for callers that meet its preconditions."""
+def _connector(f: QuadraticForm, ws: Sequence[int], wgram: Sequence[int],
+               a1: int, a2: int) -> int:
+    """find_connector on packed vectors, given the Gram images G w_i.
+
+    For callers that meet find_connector's preconditions; a linear system
+    left without a solution raises ValueError.
+    """
     dim = f.dim
+    g1 = _gram_bits(f, a1)
     if ws:
-        rows = [_gram_bits(f, w) for w in ws]
-        rows.append(_gram_bits(f, a1))
+        rows = [*wgram, g1]
         if a2 != a1:
             rows.append(_gram_bits(f, a2))
         rhs = (1 << len(rows)) - (1 << len(ws))  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
         b = solve(BitMatrix(len(rows), dim, tuple(rows)), BitVector(len(rows), rhs))
-        assert b is not None  # a1, a2 outside W makes the system consistent
+        if b is None:  # a1, a2 orthogonal to W and outside it make this solvable
+            raise ValueError("no connector exists for the given configuration")
         return b.bits if _evaluate_bits(f, b.bits) else b.bits ^ ws[0]
 
     if a1 == a2:
-        b = solve(BitMatrix(1, dim, (_gram_bits(f, a1),)), BitVector(1, 1))
-        assert b is not None
+        b = solve(BitMatrix(1, dim, (g1,)), BitVector(1, 1))
+        if b is None:  # only a1 = 0 has G a1 = 0
+            raise ValueError("no connector exists for the given configuration")
         if _evaluate_bits(f, b.bits):
             return b.bits
-        u_vectors = [a1, b.bits]
+        perp_rows = (g1, _gram_bits(f, b.bits))
         base = b.bits
     else:
-        b1, b2 = complete_isotropic(f, [BitVector(dim, a1), BitVector(dim, a2)])
-        base = b1.bits ^ b2.bits
+        g2 = _gram_bits(f, a2)
+        b1, b2 = _complete_isotropic(f, [a1, a2], [g1, g2])
+        base = b1 ^ b2
         if _evaluate_bits(f, base):
             return base
-        u_vectors = [a1, a2, b1.bits, b2.bits]
-    perp_rows = BitMatrix(len(u_vectors), dim,
-                          tuple(_gram_bits(f, u) for u in u_vectors))
-    perp = [v.bits for v in kernel_basis(perp_rows)]
+        perp_rows = (g1, g2, _gram_bits(f, b1), _gram_bits(f, b2))
+    perp = [v.bits for v in kernel_basis(BitMatrix(len(perp_rows), dim, perp_rows))]
     d = _find_flip(f, 0, perp)
     if d is None:
         raise ValueError("no connector exists for the given configuration")
@@ -391,7 +417,8 @@ def find_transvection_path(f: QuadraticForm, x: BitVector, y: BitVector) -> list
         return [x ^ y]
     system = BitMatrix(2, f.dim, (_gram_bits(f, x.bits), _gram_bits(f, y.bits)))
     z0 = solve(system, BitVector(2, 0b11))
-    assert z0 is not None  # distinct nonzero x, y give independent rows
+    if z0 is None:  # distinct nonzero x, y give independent rows
+        raise ValueError("no transvection path exists between the given vectors")
     zbits = z0.bits
     if _evaluate_bits(f, zbits) != evaluate(f, x):
         flip = _find_flip(f, zbits, [v.bits for v in kernel_basis(system)])

@@ -1,10 +1,13 @@
 """CLI behaviour: golden outputs, determinism, exit codes."""
 
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import child_env
 
@@ -201,3 +204,69 @@ def test_closed_stdout_exits_quietly(tmp_path):
     proc.stderr.close()
     assert "Traceback" not in stderr
     assert (returncode, stderr) == (0, "")
+
+
+# Every subcommand that reads files, with valid fixtures, and the argv
+# positions of its file arguments.
+FUZZ_COMMANDS = [
+    (["arf", "--form", "data/form_g1a1.txt"], (2,)),
+    (["psi", "--form", "data/form_g1a0.txt", "--matrix", "data/swap2.txt"], (2, 4)),
+    (["decompose", "--form", "data/form_g2a0.txt", "--matrix", "data/u0.txt"], (2, 4)),
+    (["verify", "--form", "data/form_g1a0.txt", "--matrix", "data/swap2.txt",
+      "--decomposition", "data/dec_swap.txt"], (2, 4, 6)),
+    (["q", "--surface", "data/surf_g1a0.txt", "--word", "data/a4.word"], (2, 4)),
+    (["q", "--surface", "data/surf_g2a0.txt", "--matrix", "data/u0.txt"], (2, 4)),
+    (["check-rh", "--surface", "data/surf_g1a0.txt",
+      "--surface", "data/surf_g1a1.txt"], (2, 4)),
+]
+FUZZ_TARGETS = [(argv, pos) for argv, positions in FUZZ_COMMANDS for pos in positions]
+# Fragments of the formats, so that mutations often stay close to valid input.
+FRAGMENTS = [b"0", b"1", b"\n", b" ", b"/", b"2", b"4", b"16", b"-1", b"form",
+             b"genus", b"g", b"u", b"twist", b"square", b"flip", b"umap"]
+
+
+@st.composite
+def mutated(draw, original):
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "delete":
+            del data[pos:pos + draw(st.integers(1, 6))]
+            continue
+        chunk = draw(st.sampled_from(FRAGMENTS) | st.binary(min_size=1, max_size=6))
+        end = pos + len(chunk) if op == "replace" else pos
+        data[pos:end] = chunk
+    return bytes(data)
+
+
+@st.composite
+def fuzzed_invocations(draw):
+    argv, pos = draw(st.sampled_from(FUZZ_TARGETS))
+    original = (HERE / argv[pos]).read_bytes()
+    content = draw(st.binary(max_size=200) | mutated(original))
+    return argv, pos, content
+
+
+@settings(max_examples=40, deadline=None)
+@given(fuzzed_invocations())
+def test_error_contract_under_fuzzing(invocation):
+    """Any file content gives exit 0, 1 or 2 and at most one error line.
+
+    A failure prints exactly one ``error <kind>: <detail>`` line on stderr;
+    the one non-zero exit without it is verify's documented "verify fail".
+    """
+    argv, pos, content = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.txt"
+        path.write_bytes(content)
+        res = run_cli([*argv[:pos], str(path), *argv[pos + 1:]])
+    assert "Traceback" not in res.stderr
+    assert res.returncode in (0, 1, 2)
+    if res.returncode == 0:
+        assert res.stderr == ""
+    elif argv[0] == "verify" and res.stdout == "verify fail\n":
+        assert (res.returncode, res.stderr) == (2, "")
+    else:
+        assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+        assert re.match(r"^error [a-z-]+: ", res.stderr)

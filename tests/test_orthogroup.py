@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank
+from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
 from quadpoint.guards import DimensionGuardError
 from quadpoint.orthogroup import (
     OrthogonalMap,
+    _restoration_word,
     canonical_umap,
     decompose,
     enumerate_group,
@@ -24,6 +25,7 @@ from quadpoint.orthogroup import (
 from quadpoint.quadform import (
     QuadraticForm,
     _gram_bits,
+    _preserves,
     bilinear,
     evaluate,
     standard_form,
@@ -270,6 +272,30 @@ class TestDecompose:
         u, word = decompose(t)
         assert recompose(f, u, word) == m
         assert len(word) % 2 == rank_parity(t)
+
+    def test_non_orthogonal_input_raises_value_error(self):
+        """The restoration either returns or raises ValueError, also under -O.
+
+        900 seeded invertible non-orthogonal matrices in each of dims 4, 6
+        and 8; a few of them reach a connector system with no solution.
+        """
+        rng = random.Random(3)
+        outcomes = {"returned": 0, "no connector": 0, "other ValueError": 0}
+        for dim in (4, 6, 8):
+            f = standard_form(dim // 2, 1)
+            drawn = 0
+            while drawn < 900:
+                rows = [rng.getrandbits(dim) for _ in range(dim)]
+                if rank_rows(rows) != dim or _preserves(f, rows):
+                    continue
+                drawn += 1
+                try:
+                    _restoration_word(f, BitMatrix(dim, dim, tuple(rows)))
+                    outcomes["returned"] += 1
+                except ValueError as exc:
+                    key = "no connector" if "no connector" in str(exc) else "other ValueError"
+                    outcomes[key] += 1
+        assert outcomes["no connector"] > 0
 
 
 class TestEnumerate:

@@ -6,11 +6,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint.gf2 import BitMatrix, BitVector
+from quadpoint.gf2 import BitMatrix, BitVector, _matvec, rank_rows
 from quadpoint.orthogroup import transvection_matrix
 from quadpoint.quadform import (
     QuadraticForm,
     SymplecticBasis,
+    _gram_bits,
     arf,
     bilinear,
     complete_isotropic,
@@ -148,6 +149,23 @@ class TestFormCaches:
             assert (info.maxsize, info.currsize) == (FORM_CACHE_SIZE, FORM_CACHE_SIZE)
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_gram_image_is_the_matvec(data):
+    """G v as the XOR of the rows v picks equals the row-by-row product."""
+    dim = data.draw(st.integers(0, 80))
+    rows = [0] * dim
+    for i in range(dim):
+        above = data.draw(st.integers(0, (1 << (dim - 1 - i)) - 1)) << (i + 1)
+        rows[i] |= above
+        for j in range(i + 1, dim):
+            if (above >> j) & 1:
+                rows[j] |= 1 << i
+    f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector.zero(dim))
+    v = data.draw(st.integers(0, (1 << dim) - 1))
+    assert _gram_bits(f, v) == _matvec(f.gram.data, v)
+
+
 def check_symplectic(f, sb: SymplecticBasis):
     n = len(sb.a_vectors)
     assert len(sb.b_vectors) == n
@@ -173,6 +191,22 @@ class TestSymplecticBasis:
     @given(nondegenerate_forms())
     def test_relations_on_random_forms(self, f):
         check_symplectic(f, symplectic_basis(f))
+
+    @pytest.mark.parametrize("genus", [1, 2, 5, 13, 26, 38])
+    def test_relations_on_large_seeded_forms(self, genus):
+        rng = random.Random(genus)
+        dim = 2 * genus
+        for arf_value in (0, 1):
+            rows: list[int] = []
+            while len(rows) < dim:
+                r = rng.getrandbits(dim)
+                if rank_rows(rows + [r]) == len(rows) + 1:
+                    rows.append(r)
+            f = pullback(standard_form(genus, arf_value),
+                         BitMatrix(dim, dim, tuple(rows)))
+            sb = symplectic_basis(f)
+            check_symplectic(f, sb)
+            assert rank_rows(v.bits for v in sb.a_vectors + sb.b_vectors) == dim
 
     def test_degenerate_rejected(self):
         f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
