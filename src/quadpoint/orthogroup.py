@@ -18,6 +18,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     _combine,
+    _echelon_add,
     _matvec,
     _mul_rows,
     _transvect,
@@ -139,8 +140,8 @@ def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
     """The canonical involutive swap of the two partition triples.
 
     Matches the triples in lexicographic order: with u1 < u2 spanning one
-    triple and v1 < v2 the other, the map exchanges u_i and v_i.  Its
-    square is the identity, so its rank parity is 0.
+    triple and v1 < v2 the other, the map exchanges u_i and v_i.  Its rank
+    parity is 0 because u - Id has rank 2: it sends u_i and v_i to u_i + v_i.
     """
     part = umap_partition(f)
     s1 = sorted(part.v1, key=BitVector.to01)
@@ -200,19 +201,20 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
         cur = _transvect(cur, cbits, wbits)
         applied.append(cbits)
 
+    echelon: dict[int, int] = {}  # of G a_0 .. G a_{k-1}, for the connector
     for k in range(n):
         target = a_bits[k]
         image = _matvec(cur, target)
-        if image == target:
-            continue
-        gimage = _gram_bits(f, image)
-        if parity(image & a_gram[k]):
-            push(image ^ target, gimage ^ a_gram[k])
-            continue
-        z = _connector(f, a_bits[:k], a_gram[:k], image, target)
-        gz = _gram_bits(f, z)
-        push(image ^ z, gimage ^ gz)
-        push(z ^ target, gz ^ a_gram[k])
+        if image != target:
+            gimage = _gram_bits(f, image)
+            if parity(image & a_gram[k]):
+                push(image ^ target, gimage ^ a_gram[k])
+            else:
+                z = _connector(f, a_bits[:k], echelon, image, target)
+                gz = _gram_bits(f, z)
+                push(image ^ z, gimage ^ gz)
+                push(z ^ target, gz ^ a_gram[k])
+        _echelon_add(echelon, a_gram[k])
 
     for j in range(n):
         target = b_bits[j]

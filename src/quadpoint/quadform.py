@@ -18,6 +18,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     _combine,
+    _echelon_add,
     _mul_rows,
     _transpose,
     kernel_basis,
@@ -106,14 +107,16 @@ def _gram_bits(f: QuadraticForm, vbits: int) -> int:
 def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Gram rows and basis values of x -> g(m x), for square m given by its rows.
 
-    The Gram is m^T gram m; the basis values are g on the columns of m.
+    With U the strict upper triangle of the Gram, gram = U + U^T and
+    g(v) = v^T U v + parity(v & basis_g).  So X = m^T U m gives the Gram
+    m^T gram m = X + X^T, and g(m e_i) = X_ii + (basis_g^T m)_i.
     """
-    cols = _transpose(rows, f.dim)
-    gram = tuple(_mul_rows(_mul_rows(cols, f.gram.data), rows))
-    gbits = 0
-    for i, c in enumerate(cols):
-        gbits |= _evaluate_bits(f, c) << i
-    return gram, gbits
+    dim = f.dim
+    upper = [r >> (i + 1) << (i + 1) for i, r in enumerate(f.gram.data)]
+    x = _mul_rows(_transpose(rows, dim), _mul_rows(upper, rows))
+    diagonal = sum(r & (1 << i) for i, r in enumerate(x))
+    gram = tuple(a ^ b for a, b in zip(x, _transpose(x, dim)))
+    return gram, diagonal ^ _combine(rows, f.basis_g.bits)
 
 
 def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
@@ -161,6 +164,8 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     with B(x,y) = 1, and replaces the rest by their projections to the
     orthogonal complement of the pair.  G x and G y are computed once per
     pair; B(z + x, x) = B(z, x), so the second test may read the updated z.
+    The projection is linear with kernel span(x, y), so the projections of
+    the other, independent, remaining vectors stay independent.
     """
     _require_nondegenerate(f)
     remaining = [1 << i for i in range(f.dim)]
@@ -174,7 +179,6 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
         a_out.append(BitVector(f.dim, x))
         b_out.append(BitVector(f.dim, y))
         projected = []
-        pivots: dict[int, int] = {}
         for z in remaining:
             if z in (x, y):
                 continue
@@ -182,15 +186,7 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
                 z ^= x
             if parity(z & gx):
                 z ^= y
-            t = z
-            while t:
-                low = t & -t
-                p = pivots.get(low)
-                if p is None:
-                    pivots[low] = t
-                    projected.append(z)
-                    break
-                t ^= p
+            projected.append(z)
         remaining = projected
     return SymplecticBasis(tuple(a_out), tuple(b_out))
 
@@ -351,28 +347,35 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
     wbits = [w.bits for w in ws]
-    wgram = [_gram_bits(f, w) for w in wbits]
-    return BitVector(dim, _connector(f, wbits, wgram, a1.bits, a2.bits))
+    echelon: dict[int, int] = {}
+    for w in wbits:
+        _echelon_add(echelon, _gram_bits(f, w))
+    return BitVector(dim, _connector(f, wbits, echelon, a1.bits, a2.bits))
 
 
-def _connector(f: QuadraticForm, ws: Sequence[int], wgram: Sequence[int],
+def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
                a1: int, a2: int) -> int:
-    """find_connector on packed vectors, given the Gram images G w_i.
+    """find_connector on packed vectors, given the echelon form of the G w_i.
 
-    For callers that meet find_connector's preconditions; a linear system
-    left without a solution raises ValueError.
+    With w vectors, the rows G a1 and G a2 with right-hand side 1 (at bit
+    dim) are added to a copy of the echelon form (see _echelon_add); then
+    b, with free variables zero, is the sum of the pivots of the rows whose
+    right-hand side is 1: solve's answer on the stacked system.  For callers
+    that meet find_connector's preconditions; a linear system left without
+    a solution raises ValueError.
     """
     dim = f.dim
     g1 = _gram_bits(f, a1)
     if ws:
-        rows = [*wgram, g1]
+        rhs = 1 << dim  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
+        system = dict(echelon)
+        _echelon_add(system, g1 | rhs)
         if a2 != a1:
-            rows.append(_gram_bits(f, a2))
-        rhs = (1 << len(rows)) - (1 << len(ws))  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
-        b = solve(BitMatrix(len(rows), dim, tuple(rows)), BitVector(len(rows), rhs))
-        if b is None:  # a1, a2 orthogonal to W and outside it make this solvable
+            _echelon_add(system, _gram_bits(f, a2) | rhs)
+        if rhs in system:  # a1, a2 orthogonal to W and outside it make this solvable
             raise ValueError("no connector exists for the given configuration")
-        return b.bits if _evaluate_bits(f, b.bits) else b.bits ^ ws[0]
+        b = sum(pivot for pivot, row in system.items() if row & rhs)
+        return b if _evaluate_bits(f, b) else b ^ ws[0]
 
     if a1 == a2:
         b = solve(BitMatrix(1, dim, (g1,)), BitVector(1, 1))

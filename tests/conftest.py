@@ -9,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import quadpoint
-from quadpoint.gf2 import BitMatrix, BitVector
+from quadpoint.gf2 import BitMatrix, BitVector, multiply, solve
 from quadpoint.guards import ENV_VAR
 from quadpoint.orthogroup import enumerate_group
-from quadpoint.quadform import pullback, standard_form
+from quadpoint.quadform import _evaluate_bits, _gram_bits, pullback, standard_form
 
 settings.register_profile(
     "suite",
@@ -43,15 +43,16 @@ def bit_vectors(draw, length=None, max_length=8):
 
 @st.composite
 def invertible_matrices(draw, n):
-    """Random invertible n x n matrix, built row by row."""
-    from quadpoint.gf2 import rank_rows
+    """Random invertible n x n matrix P . L . U, drawn without rejection.
 
-    rows: list[int] = []
-    while len(rows) < n:
-        candidate = draw(st.integers(1, (1 << n) - 1))
-        if rank_rows(rows + [candidate]) == len(rows) + 1:
-            rows.append(candidate)
-    return BitMatrix(n, n, tuple(rows))
+    P permutes the rows of the product of a unit lower triangular L and a
+    unit upper triangular U.  Every invertible matrix factors this way.
+    """
+    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(n)]
+    upper = [(1 << i) | draw(st.integers(0, (1 << (n - 1 - i)) - 1)) << (i + 1)
+             for i in range(n)]
+    lu = multiply(BitMatrix(n, n, tuple(lower)), BitMatrix(n, n, tuple(upper))).data
+    return BitMatrix(n, n, tuple(lu[i] for i in draw(st.permutations(range(n)))))
 
 
 @st.composite
@@ -62,6 +63,22 @@ def nondegenerate_forms(draw, max_genus=3):
     base = standard_form(genus, arf_value)
     p = draw(invertible_matrices(2 * genus))
     return pullback(base, p)
+
+
+def eliminated_connector(f, ws, a1, a2):
+    """The connector for w vectors ws (k > 0) by elimination, on packed ints.
+
+    gf2.solve on the stacked system [G w_1 .. G w_k, G a1, G a2] (the a2
+    row only when a2 != a1) with right-hand side 0 on the w rows and 1 on
+    the a rows; its free variables are zero.  A solution with g = 0 is
+    moved into the right g-class by adding w_1.
+    """
+    rows = [_gram_bits(f, v) for v in (*ws, a1)]
+    if a2 != a1:
+        rows.append(_gram_bits(f, a2))
+    rhs = (1 << len(rows)) - (1 << len(ws))
+    b = solve(BitMatrix(len(rows), f.dim, tuple(rows)), BitVector(len(rows), rhs)).bits
+    return b if _evaluate_bits(f, b) else b ^ ws[0]
 
 
 def all_vectors(dim: int):

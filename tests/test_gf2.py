@@ -1,13 +1,15 @@
 """Bit-packed GF(2) linear algebra."""
 
+import random
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
+    _transpose,
     inverse,
     kernel_basis,
     multiply,
@@ -15,7 +17,7 @@ from quadpoint.gf2 import (
     solve,
 )
 
-from conftest import bit_matrices, bit_vectors
+from conftest import bit_matrices, bit_vectors, invertible_matrices
 
 ONES2 = BitMatrix.from_strings(["11", "11"])
 
@@ -170,16 +172,34 @@ def test_kernel_vectors_annihilate(data):
 
 @given(st.data())
 def test_inverse(data):
-    from quadpoint.gf2 import rank_rows
-
     n = data.draw(st.integers(1, 6))
-    rows = []
-    while len(rows) < n:
-        cand = data.draw(st.integers(1, (1 << n) - 1))
-        if rank_rows(rows + [cand]) == len(rows) + 1:
-            rows.append(cand)
-    m = BitMatrix(n, n, tuple(rows))
+    m = data.draw(invertible_matrices(n))
     assert multiply(m, inverse(m)) == BitMatrix.identity(n)
+
+
+def check_transpose(data, rows, cols):
+    """_transpose against the per-bit definition, and twice is the identity."""
+    t = _transpose(data, cols)
+    assert t == [sum(((data[i] >> j) & 1) << i for i in range(rows)) for j in range(cols)]
+    assert _transpose(t, rows) == list(data)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_transpose_random_shapes(data):
+    rows = data.draw(st.integers(0, 140))
+    cols = data.draw(st.integers(0, 140))
+    m = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
+    check_transpose(m, rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (0, 0), (0, 9), (9, 0), (1, 1), (1, 140), (140, 1), (7, 8), (8, 8), (9, 8),
+    (63, 65), (64, 64), (76, 76), (128, 129), (140, 140)])
+def test_transpose_edge_shapes(rows, cols):
+    rng = random.Random(1000 * rows + cols)
+    check_transpose([rng.getrandbits(cols) for _ in range(rows)], rows, cols)
+    check_transpose([(1 << cols) - 1] * rows, rows, cols)
 
 
 def test_inverse_singular():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
+from quadpoint import orthogroup
 from quadpoint.guards import DimensionGuardError
+from quadpoint.oracle import random_orthogonal
 from quadpoint.orthogroup import (
     OrthogonalMap,
     _restoration_word,
@@ -28,10 +30,11 @@ from quadpoint.quadform import (
     _preserves,
     bilinear,
     evaluate,
+    pullback,
     standard_form,
 )
 
-from conftest import all_vectors, bit_matrices, nondegenerate_forms
+from conftest import all_vectors, bit_matrices, eliminated_connector, nondegenerate_forms
 
 F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
@@ -296,6 +299,40 @@ class TestDecompose:
                     key = "no connector" if "no connector" in str(exc) else "other ValueError"
                     outcomes[key] += 1
         assert outcomes["no connector"] > 0
+
+
+def test_connector_steps_match_elimination(monkeypatch):
+    """Every phase-1 connector with k > 0 is solve's answer on the stacked system.
+
+    Seeded maps on seeded forms in dims 4 to 76; the connector carries the
+    echelon form of G a_1 .. G a_k from step to step instead of eliminating.
+    """
+    steps = []
+    kernel = orthogroup._connector
+
+    def recording(f, ws, echelon, a1, a2):
+        c = kernel(f, ws, echelon, a1, a2)
+        steps.append((f, list(ws), a1, a2, c))
+        return c
+
+    monkeypatch.setattr(orthogroup, "_connector", recording)
+    rng = random.Random(11)
+    for genus in (2, 3, 4, 7, 12, 19, 26, 32, 38):
+        dim = 2 * genus
+        for arf_value in (0, 1):
+            rows: list[int] = []
+            while len(rows) < dim:
+                r = rng.getrandbits(dim)
+                if rank_rows(rows + [r]) == len(rows) + 1:
+                    rows.append(r)
+            f = pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(rows)))
+            t = random_orthogonal(f, seed=rng.getrandbits(32), length=4 * genus)
+            u, word = decompose(t)
+            assert recompose(f, u, word) == t.matrix
+    with_w = [step for step in steps if step[1]]
+    assert len(with_w) > 100
+    for f, ws, a1, a2, c in with_w:
+        assert c == eliminated_connector(f, ws, a1, a2)
 
 
 class TestEnumerate:

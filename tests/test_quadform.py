@@ -26,7 +26,8 @@ from quadpoint.quadform import (
     symplectic_basis,
 )
 
-from conftest import all_vectors, invertible_matrices, nondegenerate_forms
+from conftest import all_vectors, eliminated_connector, invertible_matrices, nondegenerate_forms
+from test_acceptance import _isotropic_tuples, _span
 
 F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
@@ -383,6 +384,25 @@ class TestFindConnector:
                         found += 1
         assert found
 
+    @pytest.mark.parametrize("genus, arf_value", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_matches_elimination(self, genus, arf_value):
+        """With w vectors, every acceptance c7 configuration gets solve's answer."""
+        f = standard_form(genus, arf_value)
+        ones = [v for v in all_vectors(f.dim) if evaluate(f, v) == 1]
+        checked = 0
+        for ws in _isotropic_tuples(f, ones, genus):
+            w_span = {v.bits for v in _span(ws, f.dim)}
+            candidates = [v for v in ones if v.bits not in w_span
+                          and not any(bilinear(f, v, w) for w in ws)]
+            wbits = [w.bits for w in ws]
+            for a1 in candidates:
+                for a2 in candidates:
+                    if not bilinear(f, a1, a2):
+                        c = find_connector(f, ws, a1, a2)
+                        assert c.bits == eliminated_connector(f, wbits, a1.bits, a2.bits)
+                        checked += 1
+        assert checked
+
     def test_precondition_reporting(self):
         a = BitVector.basis(4, 0)
         with pytest.raises(ValueError, match="g = 1"):
@@ -460,6 +480,31 @@ class TestTransvectionPath:
 class TestPullback:
     def test_identity(self):
         assert pullback(F20, BitMatrix.identity(4)) == F20
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_brute_force(self, genus, seed, data):
+        """Gram entries B(p e_i, p e_j) and values g(p e_i), for any square p."""
+        dim = 2 * genus
+        rng = random.Random(seed)
+        while True:
+            gram = [0] * dim
+            for i in range(dim):
+                gram[i] |= rng.getrandbits(dim) >> (i + 1) << (i + 1)
+                for j in range(i + 1, dim):
+                    gram[j] |= ((gram[i] >> j) & 1) << i
+            if rank_rows(gram) == dim:
+                break
+        f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)),
+                          BitVector(dim, rng.getrandbits(dim)))
+        p = BitMatrix(dim, dim, tuple(
+            data.draw(st.integers(0, (1 << dim) - 1)) for _ in range(dim)))
+        g = pullback(f, p)
+        columns = [p.column(i) for i in range(dim)]
+        assert g.gram.data == tuple(
+            sum(bilinear(f, ci, cj) << j for j, cj in enumerate(columns))
+            for ci in columns)
+        assert g.basis_g.bits == sum(evaluate(f, c) << i for i, c in enumerate(columns))
 
     @given(nondegenerate_forms(max_genus=2), st.data())
     def test_matches_pointwise(self, f, data):
