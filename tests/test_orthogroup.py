@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
 from quadpoint import orthogroup
+from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
 from quadpoint.guards import DimensionGuardError
 from quadpoint.oracle import random_orthogonal
 from quadpoint.orthogroup import (
@@ -305,7 +305,7 @@ def test_connector_steps_match_elimination(monkeypatch):
     """Every phase-1 connector with k > 0 is solve's answer on the stacked system.
 
     Seeded maps on seeded forms in dims 4 to 76; the connector carries the
-    echelon form of G a_1 .. G a_k from step to step instead of eliminating.
+    echelon form of G a_0 .. G a_{k-1} from step to step instead of eliminating.
     """
     steps = []
     kernel = orthogroup._connector
