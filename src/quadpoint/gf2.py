@@ -5,6 +5,10 @@ significant bit first); a matrix is a tuple of such ints, one per row.
 Row elimination -- the inner loop of everything here -- is then a single
 integer XOR, and arbitrary dimensions come for free from arbitrary
 precision.  Bits above the declared length are kept at zero.
+
+Elimination has one format, the echelon form {lowest set bit: row}:
+rank_rows makes its forward pass, and everything that reads a solution
+keeps it fully reduced (_echelon_add).
 """
 
 from __future__ import annotations
@@ -41,16 +45,6 @@ class BitVector:
         if not 0 <= i < length:
             raise ValueError(f"basis index {i} out of range for length {length}")
         return cls(length, 1 << i)
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for c in coords:
-            if c & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
 
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
@@ -162,7 +156,7 @@ class BitMatrix:
 
 
 def rank_rows(data: Iterable[int]) -> int:
-    """GF(2) rank of packed rows, by elimination on the lowest set bit."""
+    """GF(2) rank of packed rows: the forward pass of the echelon form."""
     pivots: dict[int, int] = {}
     count = 0
     for r in data:
@@ -271,29 +265,6 @@ def _transvect(rows: Sequence[int], cbits: int, wbits: int) -> list[int]:
     return out
 
 
-def _rref(data: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.
-
-    Pivots are chosen left to right by first set bit; returns the reduced
-    rows (original count, zero rows at the bottom) and the pivot columns.
-    """
-    rows = list(data)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        bit = 1 << c
-        pr = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivot_cols.append(c)
-        r += 1
-    return rows, pivot_cols
-
-
 def _echelon_add(echelon: dict[int, int], row: int) -> None:
     """Add a row to a fully reduced echelon form {lowest set bit: row}.
 
@@ -311,6 +282,28 @@ def _echelon_add(echelon: dict[int, int], row: int) -> None:
         echelon[low] = row
 
 
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """The reduced echelon form {lowest set bit: row} of the span of the rows."""
+    echelon: dict[int, int] = {}
+    for row in rows:
+        _echelon_add(echelon, row)
+    return echelon
+
+
+def _solution(echelon: dict[int, int], rhs_bit: int) -> int | None:
+    """Solution, free variables zero, of a system given by its reduced form.
+
+    The echelon spans the rows of the system with the right-hand side at bit
+    rhs_bit, a column other than the unknowns.  None when rhs_bit is itself a
+    pivot: a sum of rows reads 0 = 1.  Otherwise each row sets its pivot's
+    unknown to its bit at rhs_bit.  Rows that carry several right-hand sides
+    must have independent left-hand sides, so that no pivot lies among them.
+    """
+    if rhs_bit in echelon:
+        return None
+    return sum(pivot for pivot, row in echelon.items() if row & rhs_bit)
+
+
 def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     """Some x with m @ x = v, or None if v is outside the image.
 
@@ -319,42 +312,33 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     """
     if m.rows != v.length:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug = [row | (((v.bits >> i) & 1) << m.cols) for i, row in enumerate(m.data)]
-    reduced, pivot_cols = _rref(aug, m.cols)
     rhs_bit = 1 << m.cols
-    for row in reduced[len(pivot_cols):]:
-        if row & rhs_bit:
-            return None
-    x = 0
-    for r, c in enumerate(pivot_cols):
-        if reduced[r] & rhs_bit:
-            x |= 1 << c
-    return BitVector(m.cols, x)
+    x = _solution(_echelon(row | ((v.bits >> i) & 1) * rhs_bit
+                           for i, row in enumerate(m.data)), rhs_bit)
+    return None if x is None else BitVector(m.cols, x)
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of the null space, one vector per free column, in column order."""
-    reduced, pivot_cols = _rref(m.data, m.cols)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for r, c in enumerate(pivot_cols):
-            if (reduced[r] >> free) & 1:
-                bits |= 1 << c
-        basis.append(BitVector(m.cols, bits))
-    return basis
+    """Basis of the null space, one vector per free column, in column order.
+
+    The vector of free column j is e_j plus the solution of m @ x = m @ e_j,
+    the system whose right-hand side is column j itself.
+    """
+    echelon = _echelon(m.data)
+    return [BitVector(m.cols, (1 << j) | _solution(echelon, 1 << j))
+            for j in range(m.cols) if 1 << j not in echelon]
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises ValueError if singular."""
+    """Inverse of a square matrix; raises ValueError if singular.
+
+    The reduced form of [m | Id] is [Id | m^-1] exactly when no pivot lies
+    in the right half.
+    """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = [row | (1 << (n + i)) for i, row in enumerate(m.data)]
-    reduced, pivot_cols = _rref(aug, n)
-    if len(pivot_cols) != n:
+    echelon = _echelon(row | (1 << (n + i)) for i, row in enumerate(m.data))
+    if any(pivot >> n for pivot in echelon):
         raise ValueError("matrix is singular")
-    return BitMatrix(n, n, tuple(row >> n for row in reduced))
+    return BitMatrix(n, n, tuple(echelon[1 << i] >> n for i in range(n)))

@@ -48,9 +48,8 @@ def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
     """Matrix of x -> x + B(x,a) a; orthogonal only when g(a) = 1 or a = 0."""
     if a.length != f.dim:
         raise ValueError("length mismatch")
-    w = _gram_bits(f, a.bits)
-    rows = tuple((1 << i) ^ (w if (a.bits >> i) & 1 else 0) for i in range(f.dim))
-    return BitMatrix(f.dim, f.dim, rows)
+    rows = _transvect([1 << i for i in range(f.dim)], a.bits, _gram_bits(f, a.bits))
+    return BitMatrix(f.dim, f.dim, tuple(rows))
 
 
 def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
@@ -210,7 +209,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
             if parity(image & a_gram[k]):
                 push(image ^ target, gimage ^ a_gram[k])
             else:
-                z = _connector(f, a_bits[:k], echelon, image, target)
+                z = _connector(f, a_bits[:k], echelon, image, target, gimage, a_gram[k])
                 gz = _gram_bits(f, z)
                 push(image ^ z, gimage ^ gz)
                 push(z ^ target, gz ^ a_gram[k])

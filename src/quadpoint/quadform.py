@@ -18,14 +18,15 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     _combine,
+    _echelon,
     _echelon_add,
     _mul_rows,
+    _solution,
     _transpose,
     kernel_basis,
     parity,
     rank,
     rank_rows,
-    solve,
 )
 
 # Entries kept by each form-keyed cache, here and in orthogroup: a process
@@ -214,15 +215,17 @@ def complete_isotropic(f: QuadraticForm, a_vectors: Sequence[BitVector]) -> list
 
 def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],
                         agram: Sequence[int]) -> list[int]:
-    """complete_isotropic on packed vectors and their Gram images G a_i."""
+    """complete_isotropic on packed vectors and their Gram images G a_i.
+
+    One elimination of the rows G a_i with right-hand sides e_i (bit dim + i)
+    gives every c_j with B(a_i, c_j) = delta_ij.
+    """
     k = len(abits)
-    dual_rows = BitMatrix(k, f.dim, tuple(agram))
-    cs = []
-    for j in range(k):
-        c = solve(dual_rows, BitVector.basis(k, j))
-        if c is None:
-            raise ValueError("vectors are not independent")
-        cs.append(c.bits)
+    rhs = [1 << (f.dim + i) for i in range(k)]
+    echelon = _echelon(g | r for g, r in zip(agram, rhs))
+    cs = [_solution(echelon, r) for r in rhs]
+    if None in cs:
+        raise ValueError("vectors are not independent")
     out = []
     for i in range(k):
         b = cs[i]
@@ -282,11 +285,6 @@ def standard_form(genus: int, arf_value: int) -> QuadraticForm:
 
 # -- searches ---------------------------------------------------------------
 
-def _in_span(vectors: Sequence[BitVector], v: BitVector) -> bool:
-    base = [w.bits for w in vectors]
-    return rank_rows(base) == rank_rows(base + [v.bits])
-
-
 def _find_flip(f: QuadraticForm, base: int, space_basis: Sequence[int]) -> int | None:
     """Element k of the span with g(k) + B(base, k) = 1.
 
@@ -325,7 +323,8 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
         for j in range(i, k):
             if bilinear(f, w, ws[j]):
                 raise ValueError(f"w[{i}] and w[{j}] must be orthogonal")
-    if rank_rows(w.bits for w in ws) != k:
+    wbits = [w.bits for w in ws]
+    if rank_rows(wbits) != k:
         raise ValueError("w vectors must be independent")
     for name, a in (("a1", a1), ("a2", a2)):
         if a.length != dim:
@@ -335,7 +334,7 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
         for i, w in enumerate(ws):
             if bilinear(f, a, w):
                 raise ValueError(f"{name} must be orthogonal to w[{i}]")
-        if _in_span(ws, a):
+        if rank_rows(wbits + [a.bits]) == k:
             raise ValueError(f"{name} must lie outside the span of the w vectors")
     if bilinear(f, a1, a2):
         raise ValueError("a1 and a2 must be orthogonal")
@@ -346,47 +345,43 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     if (dim, arf_value) == (4, 0) and k == 0 and a1 != a2:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
-    wbits = [w.bits for w in ws]
-    echelon: dict[int, int] = {}
-    for w in wbits:
-        _echelon_add(echelon, _gram_bits(f, w))
-    return BitVector(dim, _connector(f, wbits, echelon, a1.bits, a2.bits))
+    echelon = _echelon(_gram_bits(f, w) for w in wbits)
+    g1, g2 = _gram_bits(f, a1.bits), _gram_bits(f, a2.bits)
+    return BitVector(dim, _connector(f, wbits, echelon, a1.bits, a2.bits, g1, g2))
 
 
 def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
-               a1: int, a2: int) -> int:
-    """find_connector on packed vectors, given the echelon form of the G w_i.
+               a1: int, a2: int, g1: int, g2: int) -> int:
+    """find_connector on packed vectors, given g1 = G a1, g2 = G a2 and
+    the echelon form of the G w_i.
 
     With w vectors, the rows G a1 and G a2 with right-hand side 1 (at bit
-    dim) are added to a copy of the echelon form (see _echelon_add); then
-    b, with free variables zero, is the sum of the pivots of the rows whose
-    right-hand side is 1: solve's answer on the stacked system.  For callers
-    that meet find_connector's preconditions; a linear system left without
-    a solution raises ValueError.
+    dim) are added to a copy of the echelon form, and b is the solution of
+    the stacked system with free variables zero (see _solution).  For
+    callers that meet find_connector's preconditions; a linear system left
+    without a solution raises ValueError.
     """
     dim = f.dim
-    g1 = _gram_bits(f, a1)
-    if ws:
-        rhs = 1 << dim  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
+    rhs = 1 << dim
+    if ws:  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
         system = dict(echelon)
         _echelon_add(system, g1 | rhs)
         if a2 != a1:
-            _echelon_add(system, _gram_bits(f, a2) | rhs)
-        if rhs in system:  # a1, a2 orthogonal to W and outside it make this solvable
+            _echelon_add(system, g2 | rhs)
+        b = _solution(system, rhs)
+        if b is None:  # a1, a2 orthogonal to W and outside it make this solvable
             raise ValueError("no connector exists for the given configuration")
-        b = sum(pivot for pivot, row in system.items() if row & rhs)
         return b if _evaluate_bits(f, b) else b ^ ws[0]
 
     if a1 == a2:
-        b = solve(BitMatrix(1, dim, (g1,)), BitVector(1, 1))
+        b = _solution(_echelon([g1 | rhs]), rhs)
         if b is None:  # only a1 = 0 has G a1 = 0
             raise ValueError("no connector exists for the given configuration")
-        if _evaluate_bits(f, b.bits):
-            return b.bits
-        perp_rows = (g1, _gram_bits(f, b.bits))
-        base = b.bits
+        if _evaluate_bits(f, b):
+            return b
+        perp_rows = (g1, _gram_bits(f, b))
+        base = b
     else:
-        g2 = _gram_bits(f, a2)
         b1, b2 = _complete_isotropic(f, [a1, a2], [g1, g2])
         base = b1 ^ b2
         if _evaluate_bits(f, base):
@@ -418,13 +413,14 @@ def find_transvection_path(f: QuadraticForm, x: BitVector, y: BitVector) -> list
         raise ValueError("x and y must have equal g-value")
     if bilinear(f, x, y):
         return [x ^ y]
-    system = BitMatrix(2, f.dim, (_gram_bits(f, x.bits), _gram_bits(f, y.bits)))
-    z0 = solve(system, BitVector(2, 0b11))
-    if z0 is None:  # distinct nonzero x, y give independent rows
+    rows = (_gram_bits(f, x.bits), _gram_bits(f, y.bits))
+    rhs = 1 << f.dim
+    zbits = _solution(_echelon(r | rhs for r in rows), rhs)
+    if zbits is None:  # distinct nonzero x, y give independent rows
         raise ValueError("no transvection path exists between the given vectors")
-    zbits = z0.bits
     if _evaluate_bits(f, zbits) != evaluate(f, x):
-        flip = _find_flip(f, zbits, [v.bits for v in kernel_basis(system)])
+        kernel = kernel_basis(BitMatrix(2, f.dim, rows))
+        flip = _find_flip(f, zbits, [v.bits for v in kernel])
         if flip is None:
             raise ValueError("no transvection path exists between the given vectors")
         zbits ^= flip

@@ -6,24 +6,15 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import settings, strategies as st
 
 import quadpoint
-from quadpoint.gf2 import BitMatrix, BitVector, multiply, solve
+from quadpoint.gf2 import BitMatrix, BitVector, multiply
 from quadpoint.guards import ENV_VAR
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import _evaluate_bits, _gram_bits, pullback, standard_form
 
-settings.register_profile(
-    "suite",
-    deadline=None,
-    suppress_health_check=[
-        HealthCheck.too_slow,
-        HealthCheck.data_too_large,
-        HealthCheck.large_base_example,
-        HealthCheck.filter_too_much,
-    ],
-)
+settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 
@@ -65,10 +56,64 @@ def nondegenerate_forms(draw, max_genus=3):
     return pullback(base, p)
 
 
+# -- reference elimination -------------------------------------------------
+#
+# A column scan over a list of rows with a separate pivot list: a second,
+# independent elimination that gf2's echelon form {lowest set bit: row} is
+# checked against.
+
+def rref(data, cols):
+    """Reduced row echelon form over the first cols columns.
+
+    Pivots are chosen left to right by first set bit; returns the reduced
+    rows (original count, zero rows at the bottom) and the pivot columns.
+    """
+    rows = list(data)
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        bit = 1 << c
+        pr = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols
+
+
+def rref_solve(data, cols, vbits):
+    """Packed x with free variables zero and data @ x = v, or None."""
+    rhs_bit = 1 << cols
+    aug = [row | (((vbits >> i) & 1) << cols) for i, row in enumerate(data)]
+    reduced, pivot_cols = rref(aug, cols)
+    if any(row & rhs_bit for row in reduced[len(pivot_cols):]):
+        return None
+    return sum(1 << c for r, c in enumerate(pivot_cols) if reduced[r] & rhs_bit)
+
+
+def rref_kernel(data, cols):
+    """Packed null-space basis, one vector per free column, in column order."""
+    reduced, pivot_cols = rref(data, cols)
+    return [(1 << free) | sum(1 << c for r, c in enumerate(pivot_cols)
+                              if (reduced[r] >> free) & 1)
+            for free in range(cols) if free not in pivot_cols]
+
+
+def rref_inverse(data):
+    """Rows of the inverse of a square matrix, or None if it is singular."""
+    n = len(data)
+    reduced, pivot_cols = rref([row | (1 << (n + i)) for i, row in enumerate(data)], n)
+    return [row >> n for row in reduced] if len(pivot_cols) == n else None
+
+
 def eliminated_connector(f, ws, a1, a2):
     """The connector for w vectors ws (k > 0) by elimination, on packed ints.
 
-    gf2.solve on the stacked system [G w_1 .. G w_k, G a1, G a2] (the a2
+    rref_solve on the stacked system [G w_1 .. G w_k, G a1, G a2] (the a2
     row only when a2 != a1) with right-hand side 0 on the w rows and 1 on
     the a rows; its free variables are zero.  A solution with g = 0 is
     moved into the right g-class by adding w_1.
@@ -77,7 +122,7 @@ def eliminated_connector(f, ws, a1, a2):
     if a2 != a1:
         rows.append(_gram_bits(f, a2))
     rhs = (1 << len(rows)) - (1 << len(ws))
-    b = solve(BitMatrix(len(rows), f.dim, tuple(rows)), BitVector(len(rows), rhs)).bits
+    b = rref_solve(rows, f.dim, rhs)
     return b if _evaluate_bits(f, b) else b ^ ws[0]
 
 

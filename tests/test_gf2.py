@@ -17,7 +17,15 @@ from quadpoint.gf2 import (
     solve,
 )
 
-from conftest import bit_matrices, bit_vectors, invertible_matrices
+from conftest import (
+    bit_matrices,
+    bit_vectors,
+    invertible_matrices,
+    rref,
+    rref_inverse,
+    rref_kernel,
+    rref_solve,
+)
 
 ONES2 = BitMatrix.from_strings(["11", "11"])
 
@@ -114,18 +122,59 @@ class TestKernel:
         assert kernel_basis(ONES2) == [BitVector.from_string("11")]
 
 
+def check_against_reference(m, rhs_values):
+    """rank, kernel_basis, solve and, for square m, inverse against conftest.rref."""
+    _, pivot_cols = rref(m.data, m.cols)
+    kernel = kernel_basis(m)
+    assert rank(m) == len(pivot_cols)
+    assert rank(m) + len(kernel) == m.cols
+    assert [v.bits for v in kernel] == rref_kernel(m.data, m.cols)
+    for v in rhs_values:
+        got = solve(m, BitVector(m.rows, v))
+        assert (None if got is None else got.bits) == rref_solve(m.data, m.cols, v)
+    if m.is_square():
+        expected = rref_inverse(m.data)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+        else:
+            assert list(inverse(m).data) == expected
+
+
 def test_rank_nullity_exhaustive_small():
-    for rows, cols in product(range(4), repeat=2):
+    """Every matrix of every shape up to 4 x 4 but 4 x 4, with every right-hand side."""
+    for rows, cols in product(range(5), repeat=2):
+        if (rows, cols) == (4, 4):
+            continue
+        mask = (1 << cols) - 1
         for code in range(1 << (rows * cols)):
-            mask = (1 << cols) - 1
             m = BitMatrix(rows, cols, tuple((code >> (i * cols)) & mask for i in range(rows)))
-            assert rank(m) + len(kernel_basis(m)) == cols
+            check_against_reference(m, range(1 << rows))
 
 
 def test_rank_nullity_exhaustive_4x4():
+    """Every 4 x 4 matrix, with one seeded right-hand side each."""
+    rng = random.Random(44)
     for code in range(1 << 16):
         m = BitMatrix(4, 4, tuple((code >> (4 * i)) & 15 for i in range(4)))
-        assert rank(m) + len(kernel_basis(m)) == 4
+        check_against_reference(m, [rng.getrandbits(4)])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_matches_reference_up_to_80(data):
+    """Shapes up to 80 x 80 of drawn rank, consistent and drawn right-hand sides."""
+    def low_rank(rows, cols):
+        inner = data.draw(st.integers(0, 80))
+        return multiply(data.draw(bit_matrices(rows=rows, cols=inner)),
+                        data.draw(bit_matrices(rows=inner, cols=cols)))
+
+    m = low_rank(data.draw(st.integers(0, 80)), data.draw(st.integers(0, 80)))
+    x = data.draw(st.integers(0, (1 << m.cols) - 1))
+    v = data.draw(st.integers(0, (1 << m.rows) - 1))
+    check_against_reference(m, [m.apply(BitVector(m.cols, x)).bits, v])
+    n = data.draw(st.integers(0, 80))
+    check_against_reference(low_rank(n, n), [])
 
 
 @given(bit_matrices(max_rows=8, max_cols=8))

@@ -310,8 +310,8 @@ def test_connector_steps_match_elimination(monkeypatch):
     steps = []
     kernel = orthogroup._connector
 
-    def recording(f, ws, echelon, a1, a2):
-        c = kernel(f, ws, echelon, a1, a2)
+    def recording(f, ws, echelon, a1, a2, g1, g2):
+        c = kernel(f, ws, echelon, a1, a2, g1, g2)
         steps.append((f, list(ws), a1, a2, c))
         return c
 

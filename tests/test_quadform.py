@@ -6,11 +6,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint.gf2 import BitMatrix, BitVector, _matvec, rank_rows
+from quadpoint.gf2 import BitMatrix, BitVector, _combine, _matvec, parity, rank_rows
 from quadpoint.orthogroup import transvection_matrix
 from quadpoint.quadform import (
     QuadraticForm,
     SymplecticBasis,
+    _bil_bits,
     _gram_bits,
     arf,
     bilinear,
@@ -26,7 +27,13 @@ from quadpoint.quadform import (
     symplectic_basis,
 )
 
-from conftest import all_vectors, eliminated_connector, invertible_matrices, nondegenerate_forms
+from conftest import (
+    all_vectors,
+    eliminated_connector,
+    invertible_matrices,
+    nondegenerate_forms,
+    rref_solve,
+)
 from test_acceptance import _isotropic_tuples, _span
 
 F10 = standard_form(1, 0)
@@ -245,6 +252,31 @@ class TestCompleteIsotropic:
         v = BitVector.basis(4, 0)
         with pytest.raises(ValueError, match="independent"):
             complete_isotropic(F20, [v, v])
+
+    @settings(max_examples=40)
+    @given(nondegenerate_forms(max_genus=40), st.data())
+    def test_matches_reference_solves(self, f, data):
+        """Against k reference solves, dims up to 80.
+
+        c_j solves B(a_i, c_j) = delta_ij with free variables zero, and b_i
+        is c_i plus B(c_i, c_m) a_m for every m > i.  The a's mix a drawn
+        number of the a-vectors of a symplectic basis.
+        """
+        sb = symplectic_basis(f)
+        k = data.draw(st.integers(0, len(sb.a_vectors)))
+        mix = data.draw(invertible_matrices(k))
+        a = [_combine([v.bits for v in sb.a_vectors[:k]], r) for r in mix.data]
+        agram = [_gram_bits(f, v) for v in a]
+        cs = [rref_solve(agram, f.dim, 1 << j) for j in range(k)]
+        expected = [c ^ _combine(a, sum(parity(c & _gram_bits(f, cm)) << m
+                                        for m, cm in enumerate(cs) if m > i))
+                    for i, c in enumerate(cs)]
+        bs = complete_isotropic(f, [BitVector(f.dim, v) for v in a])
+        assert [b.bits for b in bs] == expected
+        for i in range(k):
+            for j in range(k):
+                assert _bil_bits(f, a[i], bs[j].bits) == (i == j)
+                assert _bil_bits(f, bs[i].bits, bs[j].bits) == 0
 
 
 class TestArf:
