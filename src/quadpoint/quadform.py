@@ -352,14 +352,14 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
 
 def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
                a1: int, a2: int, g1: int, g2: int) -> int:
-    """find_connector on packed vectors, given g1 = G a1, g2 = G a2 and
-    the echelon form of the G w_i.
+    """find_connector on packed vectors, their Gram images and an echelon.
 
-    With w vectors, the rows G a1 and G a2 with right-hand side 1 (at bit
-    dim) are added to a copy of the echelon form, and b is the solution of
-    the stacked system with free variables zero (see _solution).  For
-    callers that meet find_connector's preconditions; a linear system left
-    without a solution raises ValueError.
+    g1 and g2 are G a1 and G a2, and echelon is the echelon form of the
+    G w_i (see _echelon_add).  With w vectors, the rows g1 and g2 with
+    right-hand side 1 (at bit dim) are added to a copy of the echelon form,
+    and b is the solution of the stacked system with free variables zero
+    (see _solution).  For callers that meet find_connector's preconditions;
+    a linear system left without a solution raises ValueError.
     """
     dim = f.dim
     rhs = 1 << dim
