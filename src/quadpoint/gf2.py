@@ -318,15 +318,20 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     return None if x is None else BitVector(m.cols, x)
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of the null space, one vector per free column, in column order.
+def _kernel(echelon: dict[int, int], cols: int) -> list[int]:
+    """Null-space basis of the first cols columns, one vector per free column.
 
-    The vector of free column j is e_j plus the solution of m @ x = m @ e_j,
-    the system whose right-hand side is column j itself.
+    The vector of free column j is e_j plus the solution whose right-hand side
+    is column j.  Right-hand sides kept at bit cols and above change nothing:
+    cut there, the rows are the reduced form of the system without them.
     """
-    echelon = _echelon(m.data)
-    return [BitVector(m.cols, (1 << j) | _solution(echelon, 1 << j))
-            for j in range(m.cols) if 1 << j not in echelon]
+    return [(1 << j) | _solution(echelon, 1 << j)
+            for j in range(cols) if 1 << j not in echelon]
+
+
+def kernel_basis(m: BitMatrix) -> list[BitVector]:
+    """Basis of the null space, one vector per free column, in column order."""
+    return [BitVector(m.cols, x) for x in _kernel(_echelon(m.data), m.cols)]
 
 
 def inverse(m: BitMatrix) -> BitMatrix:

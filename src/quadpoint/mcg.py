@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, _mul_rows, _transvect, rank
-from .orthogroup import canonical_umap, is_orthogonal, transvection_matrix
+from .gf2 import BitMatrix, BitVector, _mul_rows, _transvect
+from .orthogroup import canonical_umap, is_orthogonal, rank_parity, transvection_matrix
 from .quadform import (
     QuadraticForm,
     _gram_bits,
@@ -161,13 +161,10 @@ def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
 
 def _parity(s: SurfacePinkallForm, h: MappingClass, not_member: ValueError) -> int:
     """rank(h* - Id) + (genus + 1) eps(h), mod 2; raises not_member when h
-    does not preserve the form."""
-    if h.action.rows != 2 * s.genus:
-        raise ValueError("dimension mismatch")
+    does not preserve the form (is_orthogonal checks the dimension)."""
     if not in_orthogonal_mcg(s, h):
         raise not_member
-    r = rank(h.action ^ BitMatrix.identity(h.action.rows))
-    return (r + (s.genus + 1) * h.epsilon) & 1
+    return (rank_parity(h.action) + (s.genus + 1) * h.epsilon) & 1
 
 
 def mapping_class_parity(s: SurfacePinkallForm, h: MappingClass) -> int:

@@ -22,7 +22,6 @@ from .gf2 import (
     _matvec,
     _mul_rows,
     _transvect,
-    inverse,
     kernel_basis,
     multiply,
     parity,
@@ -138,17 +137,18 @@ def is_u_map(t: OrthogonalMap) -> bool:
 def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
     """The canonical involutive swap of the two partition triples.
 
-    Matches the triples in lexicographic order: with u1 < u2 spanning one
-    triple and v1 < v2 the other, the map exchanges u_i and v_i.  Its rank
-    parity is 0 because u - Id has rank 2: it sends u_i and v_i to u_i + v_i.
+    With u1 < u2 the first vectors of one triple and v1 < v2 of the other,
+    it exchanges u_i and v_i.  B is 1 inside a triple and 0 across, so with
+    d_i = u_i + v_i it is x -> x + B(x,d2) d1 + B(x,d1) d2: two transvection
+    updates, whose cross term B(d1,d1) is 0.  u - Id has rank 2, parity 0.
     """
     part = umap_partition(f)
-    s1 = sorted(part.v1, key=BitVector.to01)
-    s2 = sorted(part.v2, key=BitVector.to01)
-    change = BitMatrix.from_rows([s1[0], s1[1], s2[0], s2[1]]).transpose()
-    swap = BitMatrix.from_strings(["0010", "0001", "1000", "0100"])
-    u0 = multiply(multiply(change, swap), inverse(change))
-    return OrthogonalMap(f, u0)
+    u1, u2 = sorted(part.v1, key=BitVector.to01)[:2]
+    v1, v2 = sorted(part.v2, key=BitVector.to01)[:2]
+    d1, d2 = u1.bits ^ v1.bits, u2.bits ^ v2.bits
+    rows = _transvect([1 << i for i in range(4)], d1, _gram_bits(f, d2))
+    rows = _transvect(rows, d2, _gram_bits(f, d1))
+    return OrthogonalMap(f, BitMatrix(4, 4, tuple(rows)))
 
 
 # -- decomposition into generators ------------------------------------------

@@ -20,12 +20,11 @@ from .gf2 import (
     _combine,
     _echelon,
     _echelon_add,
+    _kernel,
     _mul_rows,
     _solution,
     _transpose,
-    kernel_basis,
     parity,
-    rank,
     rank_rows,
 )
 
@@ -56,12 +55,6 @@ class QuadraticForm:
                 raise ValueError(f"Gram diagonal must vanish (row {i})")
         if self.gram.data != self.gram.transpose().data:
             raise ValueError("Gram matrix must be symmetric")
-
-    def g(self, v: BitVector) -> int:
-        return evaluate(self, v)
-
-    def b(self, x: BitVector, y: BitVector) -> int:
-        return bilinear(self, x, y)
 
 
 @dataclass(frozen=True)
@@ -147,12 +140,15 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)
 def is_nondegenerate(f: QuadraticForm) -> bool:
-    return rank(f.gram) == f.dim
+    try:
+        _require_nondegenerate(f)
+    except ValueError:
+        return False
+    return True
 
 
 def _require_nondegenerate(f: QuadraticForm) -> None:
-    if not is_nondegenerate(f):
-        raise ValueError("degenerate form")
+    symplectic_basis(f)  # raises ValueError("degenerate form") if there is none
 
 
 # -- structure --------------------------------------------------------------
@@ -166,16 +162,19 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     orthogonal complement of the pair.  G x and G y are computed once per
     pair; B(z + x, x) = B(z, x), so the second test may read the updated z.
     The projection is linear with kernel span(x, y), so the projections of
-    the other, independent, remaining vectors stay independent.
+    the other, independent, remaining vectors stay independent and span the
+    complement of the pairs found.  An x with no partner (always the last one
+    in odd dimension) thus lies in the radical: ValueError("degenerate form").
     """
-    _require_nondegenerate(f)
     remaining = [1 << i for i in range(f.dim)]
     a_out: list[BitVector] = []
     b_out: list[BitVector] = []
     while remaining:
         x = remaining[0]
         gx = _gram_bits(f, x)
-        y = next(z for z in remaining[1:] if parity(z & gx))
+        y = next((z for z in remaining[1:] if parity(z & gx)), None)
+        if y is None:
+            raise ValueError("degenerate form")
         gy = _gram_bits(f, y)
         a_out.append(BitVector(f.dim, x))
         b_out.append(BitVector(f.dim, y))
@@ -387,8 +386,7 @@ def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
         if _evaluate_bits(f, base):
             return base
         perp_rows = (g1, g2, _gram_bits(f, b1), _gram_bits(f, b2))
-    perp = [v.bits for v in kernel_basis(BitMatrix(len(perp_rows), dim, perp_rows))]
-    d = _find_flip(f, 0, perp)
+    d = _find_flip(f, 0, _kernel(_echelon(perp_rows), dim))
     if d is None:
         raise ValueError("no connector exists for the given configuration")
     return base ^ d
@@ -413,14 +411,13 @@ def find_transvection_path(f: QuadraticForm, x: BitVector, y: BitVector) -> list
         raise ValueError("x and y must have equal g-value")
     if bilinear(f, x, y):
         return [x ^ y]
-    rows = (_gram_bits(f, x.bits), _gram_bits(f, y.bits))
     rhs = 1 << f.dim
-    zbits = _solution(_echelon(r | rhs for r in rows), rhs)
+    echelon = _echelon(_gram_bits(f, v.bits) | rhs for v in (x, y))
+    zbits = _solution(echelon, rhs)
     if zbits is None:  # distinct nonzero x, y give independent rows
         raise ValueError("no transvection path exists between the given vectors")
     if _evaluate_bits(f, zbits) != evaluate(f, x):
-        kernel = kernel_basis(BitMatrix(2, f.dim, rows))
-        flip = _find_flip(f, zbits, [v.bits for v in kernel])
+        flip = _find_flip(f, zbits, _kernel(echelon, f.dim))
         if flip is None:
             raise ValueError("no transvection path exists between the given vectors")
         zbits ^= flip

@@ -12,7 +12,15 @@ import quadpoint
 from quadpoint.gf2 import BitMatrix, BitVector, multiply
 from quadpoint.guards import ENV_VAR
 from quadpoint.orthogroup import enumerate_group
-from quadpoint.quadform import _evaluate_bits, _gram_bits, pullback, standard_form
+from quadpoint.quadform import (
+    QuadraticForm,
+    _evaluate_bits,
+    _gram_bits,
+    arf,
+    is_nondegenerate,
+    pullback,
+    standard_form,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -128,6 +136,27 @@ def eliminated_connector(f, ws, a1, a2):
 
 def all_vectors(dim: int):
     return [BitVector(dim, b) for b in range(1 << dim)]
+
+
+def zero_diagonal_grams(dim: int):
+    """Rows of every symmetric zero-diagonal dim x dim matrix, one per upper triangle."""
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    for code in range(1 << len(pairs)):
+        rows = [0] * dim
+        for k, (i, j) in enumerate(pairs):
+            if (code >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        yield rows
+
+
+def dim4_arf0_forms():
+    """Every non-degenerate Arf-0 form on F_2^4: 28 Gram matrices, 10 g each."""
+    for rows in zero_diagonal_grams(4):
+        for g in range(16):
+            f = QuadraticForm(4, BitMatrix(4, 4, tuple(rows)), BitVector(4, g))
+            if is_nondegenerate(f) and arf(f) == 0:
+                yield f
 
 
 STANDARD_CASES = [(1, 0), (1, 1), (2, 0), (2, 1)]

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
+    _echelon,
+    _kernel,
     _transpose,
     inverse,
     kernel_basis,
@@ -123,15 +125,22 @@ class TestKernel:
 
 
 def check_against_reference(m, rhs_values):
-    """rank, kernel_basis, solve and, for square m, inverse against conftest.rref."""
+    """rank, kernel_basis, solve and, for square m, inverse against conftest.rref.
+
+    The kernel is also read from the echelon form of the rows augmented with
+    each right-hand side, which must not change it.
+    """
     _, pivot_cols = rref(m.data, m.cols)
     kernel = kernel_basis(m)
+    expected_kernel = rref_kernel(m.data, m.cols)
     assert rank(m) == len(pivot_cols)
     assert rank(m) + len(kernel) == m.cols
-    assert [v.bits for v in kernel] == rref_kernel(m.data, m.cols)
+    assert [v.bits for v in kernel] == expected_kernel
     for v in rhs_values:
         got = solve(m, BitVector(m.rows, v))
         assert (None if got is None else got.bits) == rref_solve(m.data, m.cols, v)
+        augmented = _echelon(row | ((v >> i) & 1) << m.cols for i, row in enumerate(m.data))
+        assert _kernel(augmented, m.cols) == expected_kernel
     if m.is_square():
         expected = rref_inverse(m.data)
         if expected is None:

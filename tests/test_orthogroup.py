@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quadpoint import orthogroup
 from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
 from quadpoint.guards import DimensionGuardError
-from quadpoint.oracle import random_orthogonal
+from quadpoint.oracle import democratic_arf, random_orthogonal
 from quadpoint.orthogroup import (
     OrthogonalMap,
     _restoration_word,
@@ -28,19 +28,38 @@ from quadpoint.quadform import (
     QuadraticForm,
     _gram_bits,
     _preserves,
+    arf,
     bilinear,
+    complete_isotropic,
     evaluate,
+    find_connector,
+    find_transvection_path,
     pullback,
     standard_form,
+    symplectic_basis,
 )
 
-from conftest import all_vectors, bit_matrices, eliminated_connector, nondegenerate_forms
+from conftest import (
+    all_vectors,
+    bit_matrices,
+    dim4_arf0_forms,
+    eliminated_connector,
+    nondegenerate_forms,
+    rref_inverse,
+)
 
 F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
 F20 = standard_form(2, 0)
 F21 = standard_form(2, 1)
 SWAP = BitMatrix.from_strings(["01", "10"])
+
+
+def bit_product(a, b):
+    """Rows of the product of square matrices a . b, entry by entry."""
+    n = len(a)
+    return [sum((sum((a[i] >> k) & (b[k] >> j) & 1 for k in range(n)) & 1) << j
+                for j in range(n)) for i in range(n)]
 
 
 def g_one_vectors(f):
@@ -115,11 +134,20 @@ class TestDegenerateForms:
 
     @pytest.mark.parametrize("f", [DEG3, DEG4])
     def test_rejected(self, f):
+        """With ValueError("degenerate form"), never a StopIteration."""
         identity = BitMatrix.identity(f.dim)
+        e0, e1 = BitVector.basis(f.dim, 0), BitVector.basis(f.dim, 1)
         for call in (lambda: OrthogonalMap(f, identity),
                      lambda: is_orthogonal(f, identity),
                      lambda: recompose(f, 0, []),
-                     lambda: enumerate_group(f)):
+                     lambda: enumerate_group(f),
+                     lambda: symplectic_basis(f),
+                     lambda: arf(f),
+                     lambda: complete_isotropic(f, [e0]),
+                     lambda: find_connector(f, [], e0, e0),
+                     lambda: find_transvection_path(f, e0, e1),
+                     lambda: random_orthogonal(f, 0, 1),
+                     lambda: democratic_arf(f)):
             with pytest.raises(ValueError, match="^degenerate form$"):
                 call()
 
@@ -206,6 +234,26 @@ class TestCanonicalUmap:
         part = umap_partition(F20)
         assert {u0.apply(v) for v in part.v1} == set(part.v2)
         assert {u0.apply(v) for v in part.v2} == set(part.v1)
+
+    def test_contract_on_every_form(self):
+        """On all 280 dim-4 Arf-0 forms: u1, u2 go to v1, v2 in order, the map is
+        an involution, and it is C S C^-1, the swap S of coordinates 0, 1 with
+        2, 3 in the basis C = (u1, u2, v1, v2)."""
+        swap = [1 << 2, 1 << 3, 1 << 0, 1 << 1]
+        count = 0
+        for f in dim4_arf0_forms():
+            part = umap_partition(f)
+            u1, u2 = sorted(part.v1, key=BitVector.to01)[:2]
+            v1, v2 = sorted(part.v2, key=BitVector.to01)[:2]
+            m = canonical_umap(f).matrix
+            assert (m.apply(u1), m.apply(u2)) == (v1, v2)
+            assert bit_product(m.data, m.data) == [1 << i for i in range(4)]
+            change = [sum(((c.bits >> i) & 1) << j for j, c in enumerate((u1, u2, v1, v2)))
+                      for i in range(4)]
+            assert list(m.data) == bit_product(bit_product(change, swap),
+                                               rref_inverse(change))
+            count += 1
+        assert count == 280
 
 
 class TestIsUMap:

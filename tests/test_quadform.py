@@ -1,12 +1,11 @@
 """Quadratic forms: evaluation, classification, bases, connectors."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint.gf2 import BitMatrix, BitVector, _combine, _matvec, parity, rank_rows
+from quadpoint.gf2 import BitMatrix, BitVector, _combine, _matvec, multiply, parity, rank_rows
 from quadpoint.orthogroup import transvection_matrix
 from quadpoint.quadform import (
     QuadraticForm,
@@ -29,10 +28,13 @@ from quadpoint.quadform import (
 
 from conftest import (
     all_vectors,
+    dim4_arf0_forms,
     eliminated_connector,
     invertible_matrices,
     nondegenerate_forms,
+    rref,
     rref_solve,
+    zero_diagonal_grams,
 )
 from test_acceptance import _isotropic_tuples, _span
 
@@ -118,15 +120,36 @@ class TestNondegenerate:
         assert not is_nondegenerate(f)
 
     def test_no_odd_dimension_candidate(self):
-        # every symmetric zero-diagonal 3x3 Gram is singular
-        for b01, b02, b12 in product(range(2), repeat=3):
-            rows = (
-                (b01 << 1) | (b02 << 2),
-                b01 | (b12 << 2),
-                b02 | (b12 << 1),
-            )
-            f = QuadraticForm(3, BitMatrix(3, 3, rows), BitVector.zero(3))
-            assert not is_nondegenerate(f)
+        """Every symmetric zero-diagonal Gram in dims 0-6 against the reference rank.
+
+        None is non-degenerate in odd dimension.
+        """
+        count = 0
+        for dim in range(7):
+            for rows in zero_diagonal_grams(dim):
+                f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector.zero(dim))
+                expected = len(rref(rows, dim)[1]) == dim
+                assert is_nondegenerate(f) == expected
+                assert not (expected and dim % 2)
+                count += expected
+        assert count == 13918
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_planted_radical(self, data):
+        """Up to dim 80: the pullback through P D Q, D a diagonal projection that
+        drops some coordinates and P, Q invertible, has a radical."""
+        genus = data.draw(st.integers(1, 40))
+        dim = 2 * genus
+        dropped = data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=4))
+        diagonal = BitMatrix(dim, dim, tuple(0 if i in dropped else 1 << i for i in range(dim)))
+        p = multiply(multiply(data.draw(invertible_matrices(dim)), diagonal),
+                     data.draw(invertible_matrices(dim)))
+        f = pullback(standard_form(genus, data.draw(st.integers(0, 1))), p)
+        assert len(rref(f.gram.data, dim)[1]) < dim
+        assert not is_nondegenerate(f)
+        with pytest.raises(ValueError, match="^degenerate form$"):
+            symplectic_basis(f)
 
 
 class TestFormCaches:
@@ -136,20 +159,10 @@ class TestFormCaches:
 
         for g in range(256):
             arf(QuadraticForm(8, standard_gram(4), BitVector(8, g)))
-        # every non-degenerate Arf-0 form on F_2^4: 28 Gram matrices, 10 g each
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         count = 0
-        for code in range(1 << len(pairs)):
-            rows = [0] * 4
-            for k, (i, j) in enumerate(pairs):
-                if (code >> k) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            for g in range(16):
-                f = QuadraticForm(4, BitMatrix(4, 4, tuple(rows)), BitVector(4, g))
-                if is_nondegenerate(f) and arf(f) == 0:
-                    canonical_umap(f)
-                    count += 1
+        for f in dim4_arf0_forms():
+            canonical_umap(f)
+            count += 1
         assert count == 280
         for cache in (is_nondegenerate, symplectic_basis, arf, umap_partition,
                       canonical_umap):
