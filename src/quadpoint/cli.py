@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
-from . import formats, mcg, oracle, orthogroup
+from . import formats, mcg, orthogroup, quadform
 from .gf2 import BitMatrix
 from .guards import DimensionGuardError
 from .mcg import MappingClass, NotRegularlyHomotopicError
@@ -33,9 +32,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    p = Path(path)
     try:
-        return p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as text:
+            return text.read()
     except OSError as exc:
         raise formats.FormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -44,7 +43,7 @@ def _read(path: str) -> str:
 
 
 def _load_matrix(arg: str) -> BitMatrix:
-    if Path(arg).exists():
+    if os.path.exists(arg):
         return formats.parse_matrix(_read(arg))
     if set(arg) <= set("01/") and arg:
         return formats.parse_inline_matrix(arg)
@@ -53,9 +52,7 @@ def _load_matrix(arg: str) -> BitMatrix:
 
 def _cmd_arf(args) -> int:
     f = formats.parse_form(_read(args.form))
-    from .quadform import arf
-
-    print(f"arf {arf(f)}")
+    print(f"arf {quadform.arf(f)}")
     return 0
 
 
@@ -67,12 +64,13 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_q(args) -> int:
+    if args.word is not None and args.epsilon is not None:  # a word's flips give epsilon
+        raise _UsageError("argument --epsilon: not allowed with argument --word")
     surface = formats.parse_surface(_read(args.surface))
     if args.word is not None:
         h = mcg.evaluate_word(surface, formats.parse_word(_read(args.word)))
     else:
-        action = _load_matrix(args.matrix)
-        h = MappingClass(action, args.epsilon)
+        h = MappingClass(_load_matrix(args.matrix), args.epsilon or 0)
     print(f"Q {mcg.quadruple_point_invariant(surface, h)}")
     return 0
 
@@ -112,6 +110,7 @@ def _cmd_check_rh(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import oracle  # imported here, so that no other subcommand loads it
     f = formats.parse_form(_read(args.form))
     elements = orthogroup.enumerate_group(f)
     table = oracle.GroupTable.from_elements(f, elements)
@@ -152,7 +151,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--word")
     group.add_argument("--matrix")
-    p.add_argument("--epsilon", type=int, choices=(0, 1), default=0)
+    p.add_argument("--epsilon", type=int, choices=(0, 1))
     p.set_defaults(fn=_cmd_q)
 
     p = sub.add_parser("decompose", help="factor an orthogonal matrix into generators")

@@ -9,14 +9,14 @@ where transvections generate only an index-2 subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import guards
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _Value,
     _combine,
     _echelon_add,
     _matvec,
@@ -59,16 +59,16 @@ def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
     return _preserves(f, m.data)
 
 
-@dataclass(frozen=True)
-class OrthogonalMap:
+class OrthogonalMap(_Value):
     """An invertible matrix certified at construction to preserve its form."""
 
-    form: QuadraticForm
-    matrix: BitMatrix
+    __slots__ = ("form", "matrix")
 
-    def __post_init__(self) -> None:
-        if not is_orthogonal(self.form, self.matrix):
+    def __init__(self, form: QuadraticForm, matrix: BitMatrix) -> None:
+        if not is_orthogonal(form, matrix):
             raise ValueError("matrix does not preserve the quadratic form")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, v: BitVector) -> BitVector:
         return self.matrix.apply(v)
@@ -100,16 +100,18 @@ def fixed_space(t: OrthogonalMap) -> list[BitVector]:
 
 # -- the exceptional dimension-4, Arf-0 geometry ----------------------------
 
-@dataclass(frozen=True)
-class UMapPartition:
+class UMapPartition(_Value):
     """The canonical split of the six g=1 vectors into two triples.
 
     B = 1 between distinct vectors of the same triple, B = 0 across;
     v1 is the triple containing the lexicographically least vector.
     """
 
-    v1: frozenset[BitVector]
-    v2: frozenset[BitVector]
+    __slots__ = ("v1", "v2")
+
+    def __init__(self, v1: frozenset[BitVector], v2: frozenset[BitVector]) -> None:
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
 
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)

@@ -10,13 +10,13 @@ per dimension, separated by the Arf invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _Value,
     _combine,
     _echelon,
     _echelon_add,
@@ -33,36 +33,38 @@ from .gf2 import (
 FORM_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(_Value):
     """A quadratic form given by its Gram matrix and basis values.
 
     gram[i][j] = B(e_i, e_j) must be symmetric with zero diagonal;
     basis_g[i] = g(e_i).
     """
 
-    dim: int
-    gram: BitMatrix
-    basis_g: BitVector
+    __slots__ = ("dim", "gram", "basis_g")
 
-    def __post_init__(self) -> None:
-        if self.gram.rows != self.dim or self.gram.cols != self.dim:
+    def __init__(self, dim: int, gram: BitMatrix, basis_g: BitVector) -> None:
+        if gram.rows != dim or gram.cols != dim:
             raise ValueError("Gram matrix does not match the dimension")
-        if self.basis_g.length != self.dim:
+        if basis_g.length != dim:
             raise ValueError("basis value vector does not match the dimension")
-        for i, row in enumerate(self.gram.data):
+        for i, row in enumerate(gram.data):
             if (row >> i) & 1:
                 raise ValueError(f"Gram diagonal must vanish (row {i})")
-        if self.gram.data != self.gram.transpose().data:
+        if gram.data != gram.transpose().data:
             raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "basis_g", basis_g)
 
 
-@dataclass(frozen=True)
-class SymplecticBasis:
+class SymplecticBasis(_Value):
     """Basis pairs with B(a_i,a_j) = B(b_i,b_j) = 0 and B(a_i,b_j) = delta_ij."""
 
-    a_vectors: tuple[BitVector, ...]
-    b_vectors: tuple[BitVector, ...]
+    __slots__ = ("a_vectors", "b_vectors")
+
+    def __init__(self, a_vectors: tuple[BitVector, ...], b_vectors: tuple[BitVector, ...]) -> None:
+        object.__setattr__(self, "a_vectors", a_vectors)
+        object.__setattr__(self, "b_vectors", b_vectors)
 
 
 # -- bit-level helpers shared inside the package ---------------------------

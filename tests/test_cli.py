@@ -59,6 +59,15 @@ def test_golden(name):
     assert first.stderr == ""
 
 
+def test_matrix_epsilon_defaults_to_zero():
+    argv = ["q", "--surface", "data/surf_g2a0.txt", "--matrix", "data/u0.txt"]
+    default, zero, one = (run_cli(argv + extra) for extra in ([], ["--epsilon", "0"],
+                                                             ["--epsilon", "1"]))
+    assert default.returncode == zero.returncode == one.returncode == 0
+    assert default.stdout == zero.stdout == (GOLDEN / "q_umap_matrix.txt").read_text()
+    assert one.stdout != zero.stdout  # genus 2: (n+1) epsilon flips Q
+
+
 def test_inline_matrix_argument():
     res = run_cli(["psi", "--form", "data/form_g1a0.txt", "--matrix", "01/10"])
     assert res.returncode == 0
@@ -104,6 +113,22 @@ class TestErrors:
         res = run_cli(["arf"])
         assert res.returncode == 1
         assert res.stderr.startswith("error usage:")
+
+    @pytest.mark.parametrize("epsilon", ["0", "1"])
+    def test_epsilon_with_word(self, epsilon):
+        """A word's flips give epsilon, so --epsilon beside --word is refused."""
+        res = run_cli(["q", "--surface", "data/surf_g2a0.txt",
+                       "--word", "data/flip.word", "--epsilon", epsilon])
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error usage: argument --epsilon: not allowed with argument --word\n"
+
+    @pytest.mark.parametrize("flag", ["--form", "--matrix"])
+    def test_empty_path(self, flag):
+        argv = {"--form": ["arf", "--form", ""],
+                "--matrix": ["psi", "--form", "data/form_g1a0.txt", "--matrix", ""]}[flag]
+        res = run_cli(argv)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith("error parse: ") and res.stderr.count("\n") == 1
 
     def test_catalog_wrong_genus(self):
         res = run_cli(["catalog", "--genus", "2", "--arf", "0"])

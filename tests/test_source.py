@@ -1,11 +1,18 @@
 """Properties of the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import quadpoint
 
+from conftest import child_env
+
 PACKAGE = Path(quadpoint.__file__).resolve().parent
+# Modules a CLI process does not need at start-up: quadpoint.oracle (and the
+# random module it uses) serves enumerate alone and is imported there.
+NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "pathlib", "random", "quadpoint.oracle")
 
 
 def _nodes():
@@ -28,3 +35,14 @@ def test_next_calls_pass_a_default():
     assert not [f"{name}:{node.lineno}" for name, node in _nodes()
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "next" and len(node.args) < 2]
+
+
+def test_cli_import_set():
+    """import quadpoint.cli loads none of NOT_AT_STARTUP.  The child runs with
+    -S, so that no site hook has loaded them first."""
+    code = ("import sys, quadpoint.cli; "
+            f"print(*(m for m in {NOT_AT_STARTUP!r} if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.split() == []
