@@ -10,15 +10,19 @@ import argparse
 import time
 
 from quadpoint.oracle import filter_full_linear_group, orthogonal_group_order
-from quadpoint.orthogroup import enumerate_group, rank_parity
+from quadpoint.orthogroup import ENUMERATION_MAX_DIM, enumerate_group, rank_parity
 from quadpoint.quadform import standard_form
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-dim", type=int, default=6,
-                        help="largest dimension to enumerate (default 6)")
+    parser.add_argument("--max-dim", type=int, default=ENUMERATION_MAX_DIM,
+                        help="largest dimension to enumerate (default and cap: "
+                             f"{ENUMERATION_MAX_DIM})")
     args = parser.parse_args()
+    if args.max_dim > ENUMERATION_MAX_DIM:
+        parser.error(f"--max-dim {args.max_dim} is above the enumeration cap "
+                     f"{ENUMERATION_MAX_DIM}")
 
     print(f"{'dim':>4} {'arf':>4} {'formula':>9} {'closure':>9} "
           f"{'filter':>7} {'psi=0':>7} {'psi=1':>7} {'secs':>6}")

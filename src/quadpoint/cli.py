@@ -4,7 +4,7 @@ Every subcommand reads the documented text formats, writes deterministic
 ``key value`` lines to stdout, and reports failures as one machine-
 readable line on stderr: ``error <kind>: <detail>`` with kind one of
 usage, parse, precondition, membership, guard.  Exit codes: 0 success,
-1 usage or parse error, 2 precondition or membership failure.  Every
+1 usage or parse error, 2 precondition, membership or guard failure.  Every
 form must be non-degenerate.  A reader that closes stdout early ends the
 command quietly with exit 0.
 """
@@ -17,9 +17,8 @@ import sys
 
 from . import formats, mcg, orthogroup, quadform
 from .gf2 import BitMatrix
-from .guards import DimensionGuardError
 from .mcg import MappingClass, NotRegularlyHomotopicError
-from .orthogroup import OrthogonalMap
+from .orthogroup import DimensionGuardError, OrthogonalMap
 
 
 class _UsageError(Exception):

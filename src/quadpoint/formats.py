@@ -47,6 +47,17 @@ def _int(token: str, what: str) -> int:
     return value
 
 
+def _g_values(line: str, length: int) -> BitVector:
+    """The ``g <bits>`` line of a form or surface: g on the basis vectors."""
+    parts = line.split()
+    if not parts or parts[0] != "g" or len(parts) > 2:
+        raise FormatError(f"expected 'g <bits>', got {line!r}")
+    g = _bits(parts[1] if len(parts) == 2 else "", "g values")
+    if g.length != length:
+        raise FormatError(f"g values of length {g.length}, expected {length}")
+    return g
+
+
 def parse_matrix(text: str) -> BitMatrix:
     lines = _lines(text)
     if not lines:
@@ -86,12 +97,7 @@ def parse_form(text: str) -> QuadraticForm:
     if len(head) != 2 or head[0] != "form":
         raise FormatError(f"expected 'form <dim>', got {lines[0]!r}")
     dim = _int(head[1], "dimension")
-    gline = lines[1].split()
-    if not gline or gline[0] != "g" or len(gline) > 2:
-        raise FormatError(f"expected 'g <bits>', got {lines[1]!r}")
-    g = _bits(gline[1] if len(gline) == 2 else "", "g values")
-    if g.length != dim:
-        raise FormatError(f"g values of length {g.length}, expected {dim}")
+    g = _g_values(lines[1], dim)
     if len(lines) != 2 + dim:
         raise FormatError(f"expected {dim} Gram rows, got {len(lines) - 2}")
     data = []
@@ -116,17 +122,15 @@ def parse_surface(text: str) -> SurfacePinkallForm:
     if len(head) != 2 or head[0] != "genus":
         raise FormatError(f"expected 'genus <n>', got {lines[0]!r}")
     genus = _int(head[1], "genus")
-    gline = lines[1].split()
-    if not gline or gline[0] != "g" or len(gline) > 2:
-        raise FormatError(f"expected 'g <bits>', got {lines[1]!r}")
-    g = _bits(gline[1] if len(gline) == 2 else "", "g values")
-    if g.length != 2 * genus:
-        raise FormatError(f"g values of length {g.length}, expected {2 * genus}")
-    return SurfacePinkallForm.from_g_values(genus, g)
+    return SurfacePinkallForm.from_g_values(genus, _g_values(lines[1], 2 * genus))
 
 
 def dump_surface(s: SurfacePinkallForm) -> str:
     return f"genus {s.genus}\n" + f"g {s.form.basis_g.to01()}".rstrip() + "\n"
+
+
+_VECTOR_TOKENS = {"twist": twist, "square": square}
+_BARE_TOKENS = {"flip": FLIP, "umap": UMAP}
 
 
 def parse_word(text: str) -> list[Token]:
@@ -136,19 +140,14 @@ def parse_word(text: str) -> list[Token]:
         if not parts:
             continue
         kind = parts[0]
-        if kind in ("twist", "square"):
+        if kind in _VECTOR_TOKENS:
             if len(parts) != 2:
                 raise FormatError(f"expected '{kind} <bits>', got {ln!r}")
-            maker = twist if kind == "twist" else square
-            tokens.append(maker(_bits(parts[1], f"{kind} vector")))
-        elif kind == "flip":
+            tokens.append(_VECTOR_TOKENS[kind](_bits(parts[1], f"{kind} vector")))
+        elif kind in _BARE_TOKENS:
             if len(parts) != 1:
-                raise FormatError(f"'flip' takes no argument, got {ln!r}")
-            tokens.append(FLIP)
-        elif kind == "umap":
-            if len(parts) != 1:
-                raise FormatError(f"'umap' takes no argument, got {ln!r}")
-            tokens.append(UMAP)
+                raise FormatError(f"'{kind}' takes no argument, got {ln!r}")
+            tokens.append(_BARE_TOKENS[kind])
         else:
             raise FormatError(f"unknown word token {kind!r}")
     return tokens

@@ -113,10 +113,10 @@ class BitMatrix(_Value):
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: tuple[int, ...]) -> None:
+    def __init__(self, rows: int, cols: int, data: Iterable[int]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", tuple(data))
         self.__post_init__()
 
     # Run by every construction; benchmark/tracer.py counts them by replacing it.

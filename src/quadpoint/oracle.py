@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import guards
 from .gf2 import BitMatrix, _mul_rows, _transvect, parity, rank_rows
-from .orthogroup import OrthogonalMap, rank_parity
+from .orthogroup import OrthogonalMap, _check_dim, rank_parity
 from .quadform import (
     QuadraticForm,
     _bil_bits,
@@ -66,7 +65,7 @@ def preserves_pairwise(f: QuadraticForm, data) -> bool:
 def filter_full_linear_group(f: QuadraticForm) -> GroupTable:
     """All invertible matrices preserving f, by scanning the full matrix space."""
     dim = f.dim
-    guards.check_dim(dim, 4, "full linear group filtering")
+    _check_dim(dim, 4, "full linear group filtering")
     mask = (1 << dim) - 1
     found = []
     for code in range(1 << (dim * dim)):
@@ -83,7 +82,7 @@ def democratic_arf(f: QuadraticForm) -> int:
     a single polarization increment.
     """
     _require_nondegenerate(f)
-    guards.check_dim(f.dim, 20, "the democratic g-value count")
+    _check_dim(f.dim, 20, "the democratic g-value count")
     dim = f.dim
     gram = f.gram.data
     gbits = f.basis_g.bits

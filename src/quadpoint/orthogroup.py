@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 
-from . import guards
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -268,6 +267,20 @@ def recompose(f: QuadraticForm, u_flag: int, word: Iterable[BitVector]) -> BitMa
     return BitMatrix(f.dim, f.dim, tuple(rows))
 
 
+# The largest dimension enumerate_group accepts: dimension 6 has 40,320 or
+# 51,840 elements, dimension 8 hundreds of millions.
+ENUMERATION_MAX_DIM = 6
+
+
+class DimensionGuardError(ValueError):
+    """An exhaustive operation was asked to run beyond its dimension cap."""
+
+
+def _check_dim(dim: int, cap: int, what: str) -> None:
+    if dim > cap:
+        raise DimensionGuardError(f"{what} is capped at dimension {cap} (requested {dim})")
+
+
 def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatrix]:
     """Closure of all transvections (plus the canonical swap when it exists).
 
@@ -276,7 +289,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     """
     dim = f.dim
     _require_nondegenerate(f)
-    guards.check_dim(dim, 8, "group enumeration")
+    _check_dim(dim, ENUMERATION_MAX_DIM, "group enumeration")
     identity = tuple(1 << i for i in range(dim))
     tgens = []
     for v in range(1, 1 << dim):

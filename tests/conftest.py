@@ -10,7 +10,6 @@ from hypothesis import settings, strategies as st
 
 import quadpoint
 from quadpoint.gf2 import BitMatrix, BitVector, multiply
-from quadpoint.guards import ENV_VAR
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import (
     QuadraticForm,
@@ -180,11 +179,9 @@ def child_env():
     """The caller's environment, made to run the package under test.
 
     SOURCE_ROOT goes first on PYTHONPATH, so a child process imports the same
-    quadpoint whatever the working directory or a relative PYTHONPATH says;
-    the guard override is dropped, so the documented default caps apply.
+    quadpoint whatever the working directory or a relative PYTHONPATH says.
     """
     env = dict(os.environ)
-    env.pop(ENV_VAR, None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p)
     return env

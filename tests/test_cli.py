@@ -176,6 +176,18 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stderr.startswith("error guard:")
 
+    @pytest.mark.parametrize("arf_value", [0, 1])
+    def test_enumerate_guard_dim8(self, tmp_path, arf_value):
+        from quadpoint.formats import dump_form
+        from quadpoint.quadform import standard_form
+
+        form = tmp_path / "dim8.txt"
+        form.write_text(dump_form(standard_form(4, arf_value)))
+        res = run_cli(["enumerate", "--form", str(form)])
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == ("error guard: group enumeration is capped at dimension 6 "
+                              "(requested 8)\n")
+
 
 def test_decompose_verify_round_trip(tmp_path):
     dec = tmp_path / "dec.txt"

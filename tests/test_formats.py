@@ -18,7 +18,7 @@ from quadpoint.formats import (
     parse_word,
 )
 from quadpoint.gf2 import BitMatrix, BitVector
-from quadpoint.mcg import FLIP, SurfacePinkallForm, twist
+from quadpoint.mcg import FLIP, UMAP, SurfacePinkallForm, square, twist
 from quadpoint.quadform import standard_form
 
 
@@ -81,6 +81,18 @@ def test_word_strictness():
         parse_word("spin 01\n")
     with pytest.raises(FormatError):
         parse_word("flip 1\n")
+
+
+def test_word_every_token_kind():
+    word = [twist(BitVector.from_string("10")), square(BitVector.from_string("01")),
+            FLIP, UMAP]
+    text = "twist 10\nsquare 01\nflip\numap\n"
+    assert dump_word(word) == text and parse_word(text) == word
+    for kind in ("flip", "umap"):
+        with pytest.raises(FormatError, match=f"^'{kind}' takes no argument, got '{kind} 1'$"):
+            parse_word(f"{kind} 1\n")
+    with pytest.raises(FormatError, match="^expected 'square <bits>', got 'square'$"):
+        parse_word("square\n")
 
 
 def test_decomposition_round_trip():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from quadpoint.gf2 import BitMatrix, BitVector, rank_rows
-from quadpoint.guards import DimensionGuardError
 from quadpoint.oracle import (
     GroupTable,
     democratic_arf,
@@ -17,7 +16,12 @@ from quadpoint.oracle import (
     preserves_pairwise,
     random_orthogonal,
 )
-from quadpoint.orthogroup import enumerate_group, is_orthogonal, rank_parity
+from quadpoint.orthogroup import (
+    DimensionGuardError,
+    enumerate_group,
+    is_orthogonal,
+    rank_parity,
+)
 from quadpoint.quadform import QuadraticForm, arf, pullback, standard_form, standard_gram
 
 F10 = standard_form(1, 0)
@@ -107,10 +111,16 @@ class TestDemocraticArf:
         with pytest.raises(ValueError):
             democratic_arf(f)
 
-    def test_guard(self, monkeypatch):
-        monkeypatch.setenv("ARF_ENGINE_MAX_DIM", "4")
+    def test_guard(self):
+        with pytest.raises(DimensionGuardError, match=r"^the democratic g-value count "
+                           r"is capped at dimension 20 \(requested 22\)$"):
+            democratic_arf(standard_form(11, 0))
+
+    def test_guard_ignores_environment(self, monkeypatch):
+        """The caps are fixed: the old override variable changes none."""
+        monkeypatch.setenv("ARF_ENGINE_MAX_DIM", "100")
         with pytest.raises(DimensionGuardError):
-            democratic_arf(standard_form(3, 0))
+            democratic_arf(standard_form(11, 0))
 
 
 class TestHomomorphismTable:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quadpoint import orthogroup
 from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
-from quadpoint.guards import DimensionGuardError
 from quadpoint.oracle import democratic_arf, random_orthogonal
 from quadpoint.orthogroup import (
+    DimensionGuardError,
     OrthogonalMap,
     _restoration_word,
     canonical_umap,
@@ -404,10 +404,11 @@ class TestEnumerate:
         with pytest.raises(DimensionGuardError):
             enumerate_group(standard_form(5, 0))
 
-    def test_guard_override(self, monkeypatch):
-        monkeypatch.setenv("ARF_ENGINE_MAX_DIM", "2")
+    @pytest.mark.parametrize("arf_value", [0, 1])
+    def test_dimension_guard_dim8(self, arf_value):
+        assert orthogroup.ENUMERATION_MAX_DIM == 6
         with pytest.raises(DimensionGuardError):
-            enumerate_group(F20)
+            enumerate_group(standard_form(4, arf_value))
 
 
 class TestPsiHomomorphism:

@@ -33,6 +33,15 @@ def test_group_orders():
         assert even == odd  # rank parity is onto Z/2, so it splits the group evenly
 
 
+def test_group_orders_refuses_dimension_above_cap():
+    res = subprocess.run([sys.executable, str(SCRIPTS / "group_orders.py"), "--max-dim", "8"],
+                         capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (res.returncode, res.stdout) == (2, "")
+    usage, error = res.stderr.splitlines()  # argparse's usage line, then the error
+    assert usage.startswith("usage: group_orders.py")
+    assert error == "group_orders.py: error: --max-dim 8 is above the enumeration cap 6"
+
+
 def test_parity_on_symplectic():
     lines = run_script("parity_on_symplectic.py", "--genus", "2", "--tries", "200")
     assert lines[0].startswith("witness found after ")

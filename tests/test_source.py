@@ -37,6 +37,16 @@ def test_next_calls_pass_a_default():
                 and node.func.id == "next" and len(node.args) < 2]
 
 
+def test_no_environment_reads():
+    """Behaviour depends on arguments and input alone: no module reads the
+    process environment, so no variable can change a cap or an answer."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    assert not [f"{name}:{node.lineno}" for name, node in _nodes()
+                if (isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.alias) and node.name in names)]
+
+
 def test_cli_import_set():
     """import quadpoint.cli loads none of NOT_AT_STARTUP.  The child runs with
     -S, so that no site hook has loaded them first."""

@@ -22,7 +22,7 @@ from quadpoint.mcg import (
     evaluate_word,
 )
 from quadpoint.orthogroup import OrthogonalMap, UMapPartition
-from quadpoint.quadform import QuadraticForm, SymplecticBasis
+from quadpoint.quadform import QuadraticForm, SymplecticBasis, arf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -110,6 +110,14 @@ def test_keyword_construction():
     assert BitVector(length=3, bits=5) == BitVector(3, 5)
     assert Token("flip") == FLIP and Token("flip").vector is None
     assert Token(kind="twist", vector=BitVector(2, 1)) == BUILDERS[Token]()
+
+
+def test_list_data_is_stored_as_a_tuple():
+    m = BitMatrix(2, 2, [1, 2])
+    assert m.data == (1, 2)
+    assert m == BitMatrix(2, 2, (1, 2)) and hash(m) == hash(BitMatrix(2, 2, (1, 2)))
+    f = QuadraticForm(2, BitMatrix(2, 2, [2, 1]), BitVector(2, 3))
+    assert arf(f) == 1
 
 
 def test_validation_messages():
