@@ -7,9 +7,9 @@ Word:           one token per line: ``twist <bits>``, ``square <bits>``,
                 ``flip``, ``umap``.
 Decomposition:  ``u <0|1>``, then one bit string per word vector.
 
-Vectors are 1 x n matrices.  Structural problems raise FormatError;
-semantic ones (a non-symmetric Gram, say) surface as ValueError from the
-domain types.
+An inline vector (a CLI argument without '/') is a 1 x n matrix.
+Structural problems raise FormatError; semantic ones (a non-symmetric
+Gram, say) surface as ValueError from the domain types.
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ def parse_matrix(text: str) -> BitMatrix:
 
 def dump_matrix(m: BitMatrix) -> str:
     return "\n".join([f"{m.rows} {m.cols}"] + m.to01_rows()) + "\n"
-
-
-def parse_vector(text: str) -> BitVector:
-    m = parse_matrix(text)
-    if m.rows != 1:
-        raise FormatError(f"a vector is a 1-row matrix, got {m.rows} rows")
-    return m.row(0)
 
 
 def parse_form(text: str) -> QuadraticForm:

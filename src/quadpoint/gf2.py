@@ -92,14 +92,8 @@ class BitVector(_Value):
             raise ValueError("length mismatch")
         return BitVector(self.length, self.bits ^ other.bits)
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
 
     def to01(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
@@ -366,17 +360,3 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of the null space, one vector per free column, in column order."""
     return [BitVector(m.cols, x) for x in _kernel(_echelon(m.data), m.cols)]
 
-
-def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises ValueError if singular.
-
-    The reduced form of [m | Id] is [Id | m^-1] exactly when no pivot lies
-    in the right half.
-    """
-    if not m.is_square():
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    echelon = _echelon(row | (1 << (n + i)) for i, row in enumerate(m.data))
-    if any(pivot >> n for pivot in echelon):
-        raise ValueError("matrix is singular")
-    return BitMatrix(n, n, tuple(echelon[1 << i] >> n for i in range(n)))

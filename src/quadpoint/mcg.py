@@ -11,7 +11,7 @@ h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
 from __future__ import annotations
 
 from .gf2 import BitMatrix, BitVector, _mul_rows, _transvect, _Value
-from .orthogroup import canonical_umap, is_orthogonal, rank_parity, transvection_matrix
+from .orthogroup import canonical_umap, is_orthogonal, rank_parity
 from .quadform import (
     QuadraticForm,
     _gram_bits,
@@ -100,17 +100,6 @@ def square(c: BitVector) -> Token:
 
 FLIP = Token("flip")
 UMAP = Token("umap")
-
-
-def dehn_twist_action(s: SurfacePinkallForm, c: BitVector) -> MappingClass:
-    """Homology action of a Dehn twist along a class c: the transvection by c.
-
-    Defined for every c; it preserves the surface's quadratic form only
-    when g(c) = 1 or c = 0.
-    """
-    if c.length != 2 * s.genus:
-        raise ValueError("length mismatch")
-    return MappingClass(transvection_matrix(s.form, c), 0)
 
 
 def good_map_type(s: SurfacePinkallForm, token: Token) -> int | None:

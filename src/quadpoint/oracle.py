@@ -1,17 +1,15 @@
 """Independent brute-force verification engines.
 
 These deliberately avoid the structural algorithms they are used to
-check: group membership by filtering the full linear group, the Arf
-invariant by counting g-values over the whole space, and the rank-parity
-homomorphism law by tabulating every product.
+check: group membership by filtering the full linear group, and the Arf
+invariant by counting g-values over the whole space.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .gf2 import BitMatrix, _mul_rows, _transvect, parity, rank_rows
+from .gf2 import BitMatrix, _transvect, _Value, parity, rank_rows
 from .orthogroup import OrthogonalMap, _check_dim, rank_parity
 from .quadform import (
     QuadraticForm,
@@ -27,13 +25,16 @@ def matrix_key(m: BitMatrix) -> str:
     return "".join(m.to01_rows())
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(_Value):
     """A finite orthogonal group as an ordered element list with parities."""
 
-    form: QuadraticForm
-    elements: tuple[BitMatrix, ...]
-    psi_values: tuple[int, ...]
+    __slots__ = ("form", "elements", "psi_values")
+
+    def __init__(self, form: QuadraticForm, elements: tuple[BitMatrix, ...],
+                 psi_values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "psi_values", psi_values)
 
     @classmethod
     def from_elements(cls, f: QuadraticForm, elements) -> "GroupTable":
@@ -96,20 +97,6 @@ def democratic_arf(f: QuadraticForm) -> int:
         v ^= low
         zeros += value ^ 1
     return 0 if 2 * zeros > (1 << dim) else 1
-
-
-def homomorphism_table(table: GroupTable) -> bool:
-    """Whether parity is additive over every ordered product and non-trivial."""
-    index = {m.data: p for m, p in zip(table.elements, table.psi_values)}
-    if 1 not in table.psi_values:
-        return False
-    datas = [m.data for m in table.elements]
-    for m1, p1 in zip(datas, table.psi_values):
-        for m2, p2 in zip(datas, table.psi_values):
-            q = index.get(tuple(_mul_rows(m1, m2)))
-            if q is None or q != p1 ^ p2:
-                return False
-    return True
 
 
 def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap:

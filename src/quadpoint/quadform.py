@@ -193,31 +193,12 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     return SymplecticBasis(tuple(a_out), tuple(b_out))
 
 
-def complete_isotropic(f: QuadraticForm, a_vectors: Sequence[BitVector]) -> list[BitVector]:
-    """Dual partners of an independent isotropic family.
-
-    Given independent a_1..a_k with B(a_i,a_j) = 0, returns b_1..b_k with
-    B(b_i,b_j) = 0 and B(a_i,b_j) = delta_ij.
-    """
-    _require_nondegenerate(f)
-    k = len(a_vectors)
-    for i in range(k):
-        if a_vectors[i].length != f.dim:
-            raise ValueError("length mismatch")
-        for j in range(i, k):
-            if bilinear(f, a_vectors[i], a_vectors[j]):
-                raise ValueError(f"vectors {i} and {j} are not orthogonal")
-    abits = [v.bits for v in a_vectors]
-    if rank_rows(abits) != k:
-        raise ValueError("vectors are not independent")
-    agram = [_gram_bits(f, a) for a in abits]
-    return [BitVector(f.dim, b) for b in _complete_isotropic(f, abits, agram)]
-
-
 def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],
                         agram: Sequence[int]) -> list[int]:
-    """complete_isotropic on packed vectors and their Gram images G a_i.
+    """Dual partners of an independent isotropic family, on packed vectors.
 
+    Given independent a_1..a_k with B(a_i,a_j) = 0 and their Gram images
+    G a_i, returns b_1..b_k with B(b_i,b_j) = 0 and B(a_i,b_j) = delta_ij.
     One elimination of the rows G a_i with right-hand sides e_i (bit dim + i)
     gives every c_j with B(a_i, c_j) = delta_ij.
     """
@@ -286,15 +267,14 @@ def standard_form(genus: int, arf_value: int) -> QuadraticForm:
 
 # -- searches ---------------------------------------------------------------
 
-def _find_flip(f: QuadraticForm, base: int, space_basis: Sequence[int]) -> int | None:
-    """Element k of the span with g(k) + B(base, k) = 1.
+def _find_flip(f: QuadraticForm, space_basis: Sequence[int]) -> int | None:
+    """Element of the span with g(k) = 1.
 
-    h(k) = g(k) + B(base,k) is itself quadratic with the same bilinear
-    part, so if every basis vector has h = 0 a witness, when one exists,
-    is a pair with B = 1.
+    g(k + k') = g(k) + g(k') + B(k, k'), so if every basis vector has g = 0
+    a witness, when one exists, is a pair with B = 1.
     """
     for k in space_basis:
-        if _evaluate_bits(f, k) ^ _bil_bits(f, base, k):
+        if _evaluate_bits(f, k):
             return k
     for i in range(len(space_basis)):
         for j in range(i + 1, len(space_basis)):
@@ -388,39 +368,8 @@ def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
         if _evaluate_bits(f, base):
             return base
         perp_rows = (g1, g2, _gram_bits(f, b1), _gram_bits(f, b2))
-    d = _find_flip(f, 0, _kernel(_echelon(perp_rows), dim))
+    d = _find_flip(f, _kernel(_echelon(perp_rows), dim))
     if d is None:
         raise ValueError("no connector exists for the given configuration")
     return base ^ d
 
-
-def find_transvection_path(f: QuadraticForm, x: BitVector, y: BitVector) -> list[BitVector]:
-    """Vectors c_1(, c_2) with g(c_i) = 1 whose transvections carry x to y.
-
-    Requires x, y nonzero, distinct, with g(x) = g(y).  When B(x,y) = 1 a
-    single step x+y suffices; otherwise the path goes through a z with
-    B(x,z) = B(y,z) = 1 and g(z) = g(x), found by solving the two linear
-    conditions and flipping into the right g-class along their kernel.
-    """
-    _require_nondegenerate(f)
-    if x.length != f.dim or y.length != f.dim:
-        raise ValueError("length mismatch")
-    if x.is_zero() or y.is_zero():
-        raise ValueError("x and y must be nonzero")
-    if x == y:
-        raise ValueError("x and y must be distinct")
-    if evaluate(f, x) != evaluate(f, y):
-        raise ValueError("x and y must have equal g-value")
-    if bilinear(f, x, y):
-        return [x ^ y]
-    rhs = 1 << f.dim
-    echelon = _echelon(_gram_bits(f, v.bits) | rhs for v in (x, y))
-    zbits = _solution(echelon, rhs)
-    if zbits is None:  # distinct nonzero x, y give independent rows
-        raise ValueError("no transvection path exists between the given vectors")
-    if _evaluate_bits(f, zbits) != evaluate(f, x):
-        flip = _find_flip(f, zbits, _kernel(echelon, f.dim))
-        if flip is None:
-            raise ValueError("no transvection path exists between the given vectors")
-        zbits ^= flip
-    return [BitVector(f.dim, x.bits ^ zbits), BitVector(f.dim, zbits ^ y.bits)]

@@ -14,7 +14,6 @@ from quadpoint.formats import (
     parse_inline_matrix,
     parse_matrix,
     parse_surface,
-    parse_vector,
     parse_word,
 )
 from quadpoint.gf2 import BitMatrix, BitVector
@@ -36,12 +35,6 @@ def test_matrix_strictness():
         parse_matrix("2\n01\n10\n")
     with pytest.raises(FormatError):
         parse_matrix("")
-
-
-def test_vector_is_single_row():
-    assert parse_vector("1 3\n101\n") == BitVector.from_string("101")
-    with pytest.raises(FormatError):
-        parse_vector("2 2\n01\n10\n")
 
 
 def test_form_round_trip():

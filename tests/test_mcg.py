@@ -14,7 +14,6 @@ from quadpoint.mcg import (
     NotRegularlyHomotopicError,
     SurfacePinkallForm,
     connected_sum,
-    dehn_twist_action,
     embedding_realizable,
     equivalent_up_to_diffeomorphism,
     evaluate_word,
@@ -28,7 +27,7 @@ from quadpoint.mcg import (
     twist,
 )
 from quadpoint.oracle import filter_full_linear_group
-from quadpoint.orthogroup import canonical_umap, enumerate_group
+from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
 from quadpoint.quadform import direct_sum, evaluate, standard_form
 
 from conftest import all_vectors
@@ -41,6 +40,11 @@ S21 = SurfacePinkallForm.standard(2, 1)
 I2 = BitMatrix.identity(2)
 J2 = BitMatrix.from_strings(["01", "10"])
 ML = BitVector.from_string("11")
+
+
+def twist_class(s, c):
+    """The class acting on homology as the Dehn twist along c: the transvection by c."""
+    return MappingClass(transvection_matrix(s.form, c), 0)
 
 
 def compose(h1: MappingClass, h2: MappingClass) -> MappingClass:
@@ -92,13 +96,13 @@ class TestMappingClassType:
 
 class TestDehnTwist:
     def test_null_class(self):
-        h = dehn_twist_action(S10, BitVector.zero(2))
+        h = twist_class(S10, BitVector.zero(2))
         assert h.action == I2 and h.epsilon == 0
 
     def test_merge_class_is_swap(self):
         # the mod-2 reduction of the integer twist matrix (0 1 / -1 2)
         reduction = BitMatrix.from_strings(["01", "10"])
-        assert dehn_twist_action(S10, ML).action == reduction
+        assert twist_class(S10, ML).action == reduction
 
     def test_square_is_trivial(self):
         for v in all_vectors(2):
@@ -188,7 +192,7 @@ class TestParityInvariant:
             assert mapping_class_parity(s, h) == (genus + 1) % 2
 
     def test_membership_required(self):
-        bad = dehn_twist_action(S10, BitVector.basis(2, 0))
+        bad = twist_class(S10, BitVector.basis(2, 0))
         with pytest.raises(ValueError):
             mapping_class_parity(S10, bad)
 
@@ -216,7 +220,7 @@ class TestQuadruplePoints:
         assert quadruple_point_invariant(S11, b2) == 1
 
     def test_not_regularly_homotopic(self):
-        bad = dehn_twist_action(S10, BitVector.basis(2, 0))
+        bad = twist_class(S10, BitVector.basis(2, 0))
         with pytest.raises(NotRegularlyHomotopicError):
             quadruple_point_invariant(S10, bad)
 
@@ -230,7 +234,7 @@ class TestQuadruplePoints:
         assert quadruple_point_invariant(S10, genus1_generators(0)[3]) == 1
         assert len(calls) == 1
         with pytest.raises(NotRegularlyHomotopicError):
-            quadruple_point_invariant(S10, dehn_twist_action(S10, BitVector.basis(2, 0)))
+            quadruple_point_invariant(S10, twist_class(S10, BitVector.basis(2, 0)))
         assert len(calls) == 2
 
 
@@ -279,7 +283,7 @@ class TestGenus1Generators:
         b1_word = [FLIP]
         b2_word = [twist(ML), FLIP]
         combined = evaluate_word(S11, b1_word + b2_word)
-        tw = dehn_twist_action(S11, ML)
+        tw = twist_class(S11, ML)
         assert combined == tw
 
 

@@ -1,6 +1,5 @@
-"""Brute-force engines: filtering, counting, tabulating."""
+"""Brute-force engines: filtering and counting."""
 
-import dataclasses
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from quadpoint.oracle import (
     GroupTable,
     democratic_arf,
     filter_full_linear_group,
-    homomorphism_table,
     matrix_key,
     orthogonal_group_order,
     preserves_pairwise,
@@ -121,24 +119,6 @@ class TestDemocraticArf:
         monkeypatch.setenv("ARF_ENGINE_MAX_DIM", "100")
         with pytest.raises(DimensionGuardError):
             democratic_arf(standard_form(11, 0))
-
-
-class TestHomomorphismTable:
-    def test_true_for_orthogonal_groups(self):
-        for f in (F11, F20, F21):
-            assert homomorphism_table(filter_full_linear_group(f))
-
-    def test_corrupted_is_detected(self):
-        table = filter_full_linear_group(F11)
-        flipped = list(table.psi_values)
-        flipped[0] ^= 1
-        corrupted = dataclasses.replace(table, psi_values=tuple(flipped))
-        assert not homomorphism_table(corrupted)
-
-    def test_trivial_parities_rejected(self):
-        table = filter_full_linear_group(F11)
-        zeroed = dataclasses.replace(table, psi_values=(0,) * len(table.elements))
-        assert not homomorphism_table(zeroed)
 
 
 class TestRandomOrthogonal:

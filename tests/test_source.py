@@ -47,12 +47,41 @@ def test_no_environment_reads():
                 or (isinstance(node, ast.alias) and node.name in names)]
 
 
-def test_cli_import_set():
-    """import quadpoint.cli loads none of NOT_AT_STARTUP.  The child runs with
-    -S, so that no site hook has loaded them first."""
-    code = ("import sys, quadpoint.cli; "
-            f"print(*(m for m in {NOT_AT_STARTUP!r} if m in sys.modules))")
+def test_no_unused_imports():
+    """Every name a module imports is used in it (the package's __init__,
+    which imports to re-export, aside)."""
+    imported, used = {}, set()
+    for name, node in _nodes():
+        if name == "__init__.py":
+            continue
+        if isinstance(node, ast.Name):
+            used.add((name, node.id))
+        elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                              and node.module != "__future__"):
+            for alias in node.names:
+                imported[name, alias.asname or alias.name.split(".")[0]] = node.lineno
+    assert not [f"{name}:{line} {alias}" for (name, alias), line in imported.items()
+                if (name, alias) not in used]
+
+
+def _loaded(imports, modules):
+    """Which of the modules `import <imports>` loads.  The child runs with -S,
+    so that no site hook has loaded them first."""
+    code = (f"import sys, {imports}; "
+            f"print(*(m for m in {modules!r} if m in sys.modules))")
     res = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, env=child_env(), timeout=60)
     assert (res.returncode, res.stderr) == (0, "")
-    assert res.stdout.split() == []
+    return res.stdout.split()
+
+
+def test_cli_import_set():
+    """import quadpoint.cli loads none of NOT_AT_STARTUP."""
+    assert _loaded("quadpoint.cli", NOT_AT_STARTUP) == []
+
+
+def test_enumerate_import_set():
+    """enumerate, which also imports quadpoint.oracle, loads none of the
+    standard-library modules in NOT_AT_STARTUP but random."""
+    assert _loaded("quadpoint.cli, quadpoint.oracle",
+                   ("dataclasses", "inspect", "typing", "pathlib")) == []

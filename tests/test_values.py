@@ -18,9 +18,9 @@ from quadpoint.mcg import (
     MappingClass,
     SurfacePinkallForm,
     Token,
-    dehn_twist_action,
     evaluate_word,
 )
+from quadpoint.oracle import GroupTable
 from quadpoint.orthogroup import OrthogonalMap, UMapPartition
 from quadpoint.quadform import QuadraticForm, SymplecticBasis, arf
 
@@ -47,6 +47,7 @@ BUILDERS = {
     SurfacePinkallForm: lambda: SurfacePinkallForm(1, _form()),
     MappingClass: lambda: MappingClass(_swap(), 1),
     Token: lambda: Token("twist", BitVector(2, 1)),
+    GroupTable: lambda: GroupTable(_form(), (BitMatrix.identity(2), _swap()), (0, 1)),
 }
 CLASSES = sorted(BUILDERS, key=lambda cls: cls.__name__)
 
@@ -147,7 +148,6 @@ def test_post_init_sees_every_construction(monkeypatch):
         (BitMatrix, lambda: copy.copy(m)),
         (MappingClass, lambda: MappingClass(action=m, epsilon=0)),
         (MappingClass, lambda: evaluate_word(s, [FLIP])),
-        (MappingClass, lambda: dehn_twist_action(s, BitVector(2, 1))),
         (MappingClass, lambda: pickle.loads(pickle.dumps(h))),
     ]
     counts = Counter()
