@@ -112,7 +112,7 @@ def _cmd_enumerate(args) -> int:
     from . import oracle  # imported here, so that no other subcommand loads it
     f = formats.parse_form(_read(args.form))
     elements = orthogroup.enumerate_group(f)
-    table = oracle.GroupTable.from_elements(f, elements)
+    table = oracle.GroupTable.from_elements(elements)
     print(f"order {len(table.elements)}")
     for m, p in zip(table.elements, table.psi_values):
         print(f"{oracle.matrix_key(m)} {p}")

@@ -225,29 +225,109 @@ def _combine(rows: Sequence[int], bits: int) -> int:
     return acc
 
 
+def _tables(rows: Sequence[int]) -> list[list[int]]:
+    """Four Russians byte tables of a fixed row set.
+
+    Table t lists, for every byte k, the XOR of the rows 8t + j picked by
+    the set bits j of k (Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+    Each table is built by doubling: adding row j to every entry so far.
+    """
+    out = []
+    for base in range(0, len(rows), 8):
+        table = [0]
+        for r in rows[base:base + 8]:
+            table += [x ^ r for x in table]
+        out.append(table)
+    return out
+
+
+def _lookup(tables: Sequence[Sequence[int]], bits: int) -> int:
+    """The XOR of the tabled rows picked by the set bits, a byte at a time."""
+    acc = 0
+    for table in tables:
+        acc ^= table[bits & 255]
+        bits >>= 8
+    return acc
+
+
 def _mul_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Rows of the product a . b."""
-    return [_combine(b, r) for r in a]
+    """Rows of the product a . b, read from the byte tables of b."""
+    tables = _tables(b)
+    return [_lookup(tables, r) for r in a]
+
+
+# -- the packed block ----------------------------------------------------------
+#
+# A list of vectors as one int: vector k sits at bits k*stride and up, the
+# stride a power of two, at least 8 (so that vectors are whole bytes) and at
+# least the vectors' width.
+
+def _stride(width: int) -> int:
+    """The block stride for vectors of the given width."""
+    return max(8, 1 << (width - 1).bit_length())
+
+
+def _pack(rows: Iterable[int], stride: int) -> int:
+    """The block of the given vectors."""
+    size = stride >> 3
+    return int.from_bytes(b"".join([r.to_bytes(size, "little") for r in rows]), "little")
+
+
+def _unpack(x: int, stride: int, count: int) -> list[int]:
+    """The first count vectors of a block."""
+    mask = (1 << stride) - 1
+    return [x >> (k * stride) & mask for k in range(count)]
+
+
+def _identity_block(dim: int, stride: int) -> int:
+    """The block of the rows, or the columns, of the identity."""
+    return _pack([1 << i for i in range(dim)], stride)
+
+
+@lru_cache(maxsize=16)
+def _ones(stride: int, count: int) -> int:
+    """The block of count vectors equal to 1."""
+    return _pack([1] * count, stride)
+
+
+def _flip(x: int, sel: int, add: int, stride: int, count: int) -> int:
+    """Add add to every vector v of the block with parity(v & sel) = 1.
+
+    t = x & (sel in every slot); folding t ^= t >> s for s = stride/2, ..., 1
+    leaves each slot's parity at its bit 0, as the low half of a slot never
+    reads the slot above.  The product with add then puts add in each slot
+    of parity 1, without carries as add < 2^stride.  On a block of columns,
+    sel = G c and add = c is left multiplication by the transvection
+    x -> x + B(x,c) c; on a block of rows, sel = c and add = G c is right
+    multiplication by it.
+    """
+    ones = _ones(stride, count)
+    t = x & sel * ones
+    s = stride >> 1
+    while s:
+        t ^= t >> s
+        s >>= 1
+    return x ^ (t & ones) * add
 
 
 def _transpose(data: Sequence[int], cols: int) -> list[int]:
-    """Rows of the transpose of a matrix with the given rows and width.
-
-    The rows are packed into one int as an n x n block, n a power of two and
-    at least 8 so that rows are whole bytes; log2(n) mask-shift-XOR rounds
-    then swap the off-diagonal blocks of each size (Warren, Hacker's
-    Delight, 2nd ed., section 7-3).
-    """
+    """Rows of the transpose of a matrix with the given rows and width."""
     if not data or not cols:
         return [0] * cols
-    n = max(8, 1 << (max(len(data), cols) - 1).bit_length())
-    size = n >> 3
-    x = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in data), "little")
+    n = _stride(max(len(data), cols))
+    return _unpack(_transpose_block(_pack(data, n), n), n, cols)
+
+
+def _transpose_block(x: int, n: int) -> int:
+    """Transpose of an n x n block, n a power of two and at least 8.
+
+    log2(n) mask-shift-XOR rounds swap the off-diagonal blocks of each size
+    (Warren, Hacker's Delight, 2nd ed., section 7-3).
+    """
     for shift, mask in _transpose_masks(n):
         t = (x ^ (x >> shift)) & mask
         x ^= t ^ (t << shift)
-    packed = x.to_bytes(n * size, "little")
-    return [int.from_bytes(packed[j * size:(j + 1) * size], "little") for j in range(cols)]
+    return x
 
 
 @lru_cache(maxsize=16)
@@ -273,22 +353,6 @@ def _matvec(rows: Sequence[int], vbits: int) -> int:
     for i, r in enumerate(rows):
         if (r & vbits).bit_count() & 1:
             out |= 1 << i
-    return out
-
-
-def _transvect(rows: Sequence[int], cbits: int, wbits: int) -> list[int]:
-    """Rows of (Id + c w^T) . m, for m given by its rows.
-
-    With w = gram . c this is left multiplication by the transvection
-    x -> x + B(x,c) c, as a rank-one update: the row w^T . m is added to
-    every row i with c_i = 1.
-    """
-    acc = _combine(rows, wbits)
-    out = list(rows)
-    while cbits:
-        low = cbits & -cbits
-        out[low.bit_length() - 1] ^= acc
-        cbits ^= low
     return out
 
 

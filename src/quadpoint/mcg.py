@@ -10,11 +10,23 @@ h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, BitVector, _mul_rows, _transvect, _Value
-from .orthogroup import canonical_umap, is_orthogonal, rank_parity
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    _flip,
+    _identity_block,
+    _mul_rows,
+    _pack,
+    _stride,
+    _transpose,
+    _transpose_block,
+    _unpack,
+    _Value,
+)
+from .orthogroup import canonical_umap, rank_parity
 from .quadform import (
     QuadraticForm,
-    _gram_bits,
+    _images,
     _pullback_bits,
     arf,
     evaluate,
@@ -124,10 +136,13 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
 
     Squared twists act trivially on homology; the swap token is only
     admitted on genus 2 with Arf invariant 0 and contributes the canonical
-    involution with epsilon 0.
+    involution with epsilon 0.  The product is kept as a block of columns,
+    on which a twist is one _flip and the swap u maps each column c to u c.
     """
     dim = 2 * s.genus
-    rows = BitMatrix.identity(dim).data
+    stride = _stride(dim)
+    gram_g = _images(s.form)
+    cols = _identity_block(dim, stride)
     eps = 0
     for token in word:
         if token.kind in ("twist", "square"):
@@ -135,26 +150,38 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
             if c is None or c.length != dim:
                 raise ValueError(f"{token.kind} vector must have length {dim}")
             if token.kind == "twist":
-                rows = _transvect(rows, c.bits, _gram_bits(s.form, c.bits))
+                cols = _flip(cols, gram_g(c.bits)[0], c.bits, stride, dim)
         elif token.kind == "flip":
             eps ^= 1
         elif token.kind == "umap":
             if s.genus != 2 or arf(s.form) != 0:
                 raise ValueError("the swap token requires genus 2 with Arf 0")
-            rows = _mul_rows(canonical_umap(s.form).matrix.data, rows)
+            u_rows = canonical_umap(s.form).matrix.data
+            cols = _pack(_mul_rows(_unpack(cols, stride, dim), _transpose(u_rows, dim)), stride)
         else:
             raise ValueError(f"unknown token kind: {token.kind}")
+    rows = _unpack(_transpose_block(cols, stride), stride, dim)
     return MappingClass(BitMatrix(dim, dim, tuple(rows)), eps)
 
 
 def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
-    """Whether the class preserves the surface's quadratic form."""
-    return is_orthogonal(s.form, h.action)
+    """Whether the class preserves the surface's quadratic form.
+
+    The class preserves the intersection form, which is the form's Gram, so
+    by polarization it preserves g when g(h e_i) = g(e_i) for every i.
+    """
+    m = h.action
+    if m.rows != s.form.dim:
+        raise ValueError("dimension mismatch")
+    gram_g = _images(s.form)
+    gbits = s.form.basis_g.bits
+    return all(gram_g(col)[1] == (gbits >> i) & 1
+               for i, col in enumerate(_transpose(m.data, m.cols)))
 
 
 def _parity(s: SurfacePinkallForm, h: MappingClass, not_member: ValueError) -> int:
     """rank(h* - Id) + (genus + 1) eps(h), mod 2; raises not_member when h
-    does not preserve the form (is_orthogonal checks the dimension)."""
+    does not preserve the form (in_orthogonal_mcg checks the dimension)."""
     if not in_orthogonal_mcg(s, h):
         raise not_member
     return (rank_parity(h.action) + (s.genus + 1) * h.epsilon) & 1

@@ -9,13 +9,23 @@ from __future__ import annotations
 
 import random
 
-from .gf2 import BitMatrix, _transvect, _Value, parity, rank_rows
+from .gf2 import (
+    BitMatrix,
+    _flip,
+    _identity_block,
+    _stride,
+    _transpose_block,
+    _unpack,
+    _Value,
+    parity,
+    rank_rows,
+)
 from .orthogroup import OrthogonalMap, _check_dim, rank_parity
 from .quadform import (
     QuadraticForm,
     _bil_bits,
     _evaluate_bits,
-    _gram_bits,
+    _images,
     _require_nondegenerate,
 )
 
@@ -28,18 +38,16 @@ def matrix_key(m: BitMatrix) -> str:
 class GroupTable(_Value):
     """A finite orthogonal group as an ordered element list with parities."""
 
-    __slots__ = ("form", "elements", "psi_values")
+    __slots__ = ("elements", "psi_values")
 
-    def __init__(self, form: QuadraticForm, elements: tuple[BitMatrix, ...],
-                 psi_values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "form", form)
+    def __init__(self, elements: tuple[BitMatrix, ...], psi_values: tuple[int, ...]) -> None:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "psi_values", psi_values)
 
     @classmethod
-    def from_elements(cls, f: QuadraticForm, elements) -> "GroupTable":
+    def from_elements(cls, elements) -> "GroupTable":
         ordered = sorted(elements, key=matrix_key)
-        return cls(f, tuple(ordered), tuple(rank_parity(m) for m in ordered))
+        return cls(tuple(ordered), tuple(rank_parity(m) for m in ordered))
 
 
 def preserves_pairwise(f: QuadraticForm, data) -> bool:
@@ -73,7 +81,7 @@ def filter_full_linear_group(f: QuadraticForm) -> GroupTable:
         data = tuple((code >> (i * dim)) & mask for i in range(dim))
         if preserves_pairwise(f, data):
             found.append(BitMatrix(dim, dim, data))
-    return GroupTable.from_elements(f, found)
+    return GroupTable.from_elements(found)
 
 
 def democratic_arf(f: QuadraticForm) -> int:
@@ -100,11 +108,17 @@ def democratic_arf(f: QuadraticForm) -> int:
 
 
 def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap:
-    """Product of `length` transvections along seeded uniform g=1 vectors."""
+    """Product of `length` transvections along seeded uniform g=1 vectors.
+
+    The product is kept as a block of columns, on which each transvection
+    is one _flip.
+    """
     _require_nondegenerate(f)
     rng = random.Random(seed)
     dim = f.dim
-    rows = BitMatrix.identity(dim).data
+    stride = _stride(dim)
+    gram_g = _images(f)
+    cols = _identity_block(dim, stride)
     for _ in range(length):
         if dim == 0:
             raise ValueError("the zero-dimensional form has no g=1 vectors")
@@ -112,7 +126,8 @@ def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap
             v = rng.getrandbits(dim)
             if v and _evaluate_bits(f, v):
                 break
-        rows = _transvect(rows, v, _gram_bits(f, v))
+        cols = _flip(cols, gram_g(v)[0], v, stride, dim)
+    rows = _unpack(_transpose_block(cols, stride), stride, dim)
     return OrthogonalMap(f, BitMatrix(dim, dim, tuple(rows)))
 
 

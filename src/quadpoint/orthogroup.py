@@ -18,9 +18,14 @@ from .gf2 import (
     _Value,
     _combine,
     _echelon_add,
-    _matvec,
+    _flip,
+    _identity_block,
     _mul_rows,
-    _transvect,
+    _pack,
+    _stride,
+    _transpose,
+    _transpose_block,
+    _unpack,
     kernel_basis,
     multiply,
     parity,
@@ -31,8 +36,7 @@ from .quadform import (
     QuadraticForm,
     _bil_bits,
     _connector,
-    _evaluate_bits,
-    _gram_bits,
+    _images,
     _preserves,
     _require_nondegenerate,
     arf,
@@ -44,10 +48,12 @@ from .quadform import (
 
 def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
     """Matrix of x -> x + B(x,a) a; orthogonal only when g(a) = 1 or a = 0."""
-    if a.length != f.dim:
+    dim = f.dim
+    if a.length != dim:
         raise ValueError("length mismatch")
-    rows = _transvect([1 << i for i in range(f.dim)], a.bits, _gram_bits(f, a.bits))
-    return BitMatrix(f.dim, f.dim, tuple(rows))
+    stride = _stride(dim)
+    rows = _flip(_identity_block(dim, stride), a.bits, _images(f)(a.bits)[0], stride, dim)
+    return BitMatrix(dim, dim, tuple(_unpack(rows, stride, dim)))
 
 
 def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
@@ -119,7 +125,8 @@ def umap_partition(f: QuadraticForm) -> UMapPartition:
         raise ValueError("the partition exists only in dimension 4")
     if not is_nondegenerate(f) or arf(f) != 0:
         raise ValueError("the partition exists only for Arf invariant 0")
-    ones = [BitVector(4, v) for v in range(1, 16) if _evaluate_bits(f, v)]
+    gram_g = _images(f)
+    ones = [BitVector(4, v) for v in range(1, 16) if gram_g(v)[1]]
     ones.sort(key=BitVector.to01)
     first = ones[0]
     part1 = frozenset(v for v in ones if v == first or _bil_bits(f, first.bits, v.bits))
@@ -140,16 +147,19 @@ def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
 
     With u1 < u2 the first vectors of one triple and v1 < v2 of the other,
     it exchanges u_i and v_i.  B is 1 inside a triple and 0 across, so with
-    d_i = u_i + v_i it is x -> x + B(x,d2) d1 + B(x,d1) d2: two transvection
-    updates, whose cross term B(d1,d1) is 0.  u - Id has rank 2, parity 0.
+    d_i = u_i + v_i it is x -> x + B(x,d2) d1 + B(x,d1) d2: two rank-one
+    updates of the identity's rows, whose cross terms B(d1,d1) and B(d2,d2)
+    are 0.  u - Id has rank 2, parity 0.
     """
     part = umap_partition(f)
     u1, u2 = sorted(part.v1, key=BitVector.to01)[:2]
     v1, v2 = sorted(part.v2, key=BitVector.to01)[:2]
     d1, d2 = u1.bits ^ v1.bits, u2.bits ^ v2.bits
-    rows = _transvect([1 << i for i in range(4)], d1, _gram_bits(f, d2))
-    rows = _transvect(rows, d2, _gram_bits(f, d1))
-    return OrthogonalMap(f, BitMatrix(4, 4, tuple(rows)))
+    gram_g = _images(f)
+    stride = _stride(4)
+    rows = _flip(_identity_block(4, stride), d1, gram_g(d2)[0], stride, 4)
+    rows = _flip(rows, d2, gram_g(d1)[0], stride, 4)
+    return OrthogonalMap(f, BitMatrix(4, 4, tuple(_unpack(rows, stride, 4))))
 
 
 # -- decomposition into generators ------------------------------------------
@@ -161,11 +171,12 @@ def _normalized_pairs(f: QuadraticForm) -> tuple[list[int], list[int]]:
     g = 1 and (a+b, b) is again a hyperbolic pair.
     """
     sb = symplectic_basis(f)
+    gram_g = _images(f)
     a_bits, b_bits = [], []
     for a, b in zip(sb.a_vectors, sb.b_vectors):
         ab, bb = a.bits, b.bits
-        if not _evaluate_bits(f, ab):
-            if _evaluate_bits(f, bb):
+        if not gram_g(ab)[1]:
+            if gram_g(bb)[1]:
                 ab, bb = bb, ab
             else:
                 ab ^= bb
@@ -184,41 +195,49 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     where B(a_i, b_j) = delta_ij makes B(delta, b_i) its coefficient of
     a_i, and splits into one or two transvections there.  The Gram images
     of the pairs are computed once, so every bilinear test is one parity.
-    The returned word is in application order: composing its
-    transvections, first entry first, reproduces m.
+
+    The images of a_0..a_{n-1}, b_0..b_{n-1} under the current map are kept
+    as one block of columns, so each transvection pushed is one _flip; the
+    targets are a basis, so the block equals their own block exactly when
+    the map is the identity.  The returned word is in application order:
+    composing its transvections, first entry first, reproduces m.
     """
     dim = f.dim
     n = dim // 2
+    gram_g = _images(f)
     a_bits, b_bits = _normalized_pairs(f)
-    a_gram = [_gram_bits(f, a) for a in a_bits]
-    b_gram = [_gram_bits(f, b) for b in b_bits]
-    cur = list(m.data)
+    a_gram = [gram_g(a)[0] for a in a_bits]
+    b_gram = [gram_g(b)[0] for b in b_bits]
+    targets = a_bits + b_bits
+    stride = _stride(dim)
+    mask = (1 << dim) - 1
+    block = _pack(_mul_rows(targets, _transpose(m.data, dim)), stride)
     applied: list[int] = []
 
     def push(cbits: int, wbits: int) -> None:
         """Apply the transvection along c, given w = G c."""
-        nonlocal cur
-        cur = _transvect(cur, cbits, wbits)
+        nonlocal block
+        block = _flip(block, wbits, cbits, stride, dim)
         applied.append(cbits)
 
     echelon: dict[int, int] = {}  # of G a_0 .. G a_{k-1}, for the connector
     for k in range(n):
         target = a_bits[k]
-        image = _matvec(cur, target)
+        image = block >> (k * stride) & mask
         if image != target:
-            gimage = _gram_bits(f, image)
+            gimage = gram_g(image)[0]
             if parity(image & a_gram[k]):
                 push(image ^ target, gimage ^ a_gram[k])
             else:
                 z = _connector(f, a_bits[:k], echelon, image, target, gimage, a_gram[k])
-                gz = _gram_bits(f, z)
+                gz = gram_g(z)[0]
                 push(image ^ z, gimage ^ gz)
                 push(z ^ target, gz ^ a_gram[k])
         _echelon_add(echelon, a_gram[k])
 
     for j in range(n):
         target = b_bits[j]
-        delta = _matvec(cur, target) ^ target
+        delta = (block >> ((n + j) * stride) & mask) ^ target
         if delta == 0:
             continue
         coeffs = 0
@@ -234,7 +253,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
             push(delta ^ a_bits[j], wdelta ^ a_gram[j])
             push(a_bits[j], a_gram[j])
 
-    if cur != [1 << i for i in range(dim)]:
+    if block != _pack(targets, stride):
         raise ValueError("restoration failed to reach the identity")
     return [BitVector(dim, c) for c in reversed(applied)]
 
@@ -257,14 +276,25 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
 
 
 def recompose(f: QuadraticForm, u_flag: int, word: Iterable[BitVector]) -> BitMatrix:
-    """Product of the decomposition: swap first (if flagged), then the word."""
+    """Product of the decomposition: swap first (if flagged), then the word.
+
+    The product is kept as a block of columns, on which each transvection
+    is one _flip, and transposed back to rows once at the end.
+    """
     _require_nondegenerate(f)
-    rows = canonical_umap(f).matrix.data if u_flag else BitMatrix.identity(f.dim).data
+    dim = f.dim
+    stride = _stride(dim)
+    gram_g = _images(f)
+    start = canonical_umap(f).matrix.data if u_flag else BitMatrix.identity(dim).data
+    cols = _transpose_block(_pack(start, stride), stride)
     for c in word:
-        if evaluate(f, c) != 1 and not c.is_zero():  # evaluate checks the length
+        if c.length != dim:
+            raise ValueError("length mismatch")
+        gc, g = gram_g(c.bits)
+        if g != 1 and c.bits:
             raise ValueError("word vector must satisfy g(c) = 1 or c = 0")
-        rows = _transvect(rows, c.bits, _gram_bits(f, c.bits))
-    return BitMatrix(f.dim, f.dim, tuple(rows))
+        cols = _flip(cols, gc, c.bits, stride, dim)
+    return BitMatrix(dim, dim, tuple(_unpack(_transpose_block(cols, stride), stride, dim)))
 
 
 # The largest dimension enumerate_group accepts: dimension 6 has 40,320 or
@@ -284,34 +314,39 @@ def _check_dim(dim: int, cap: int, what: str) -> None:
 def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatrix]:
     """Closure of all transvections (plus the canonical swap when it exists).
 
-    All generators are involutions, so the multiplicative closure from the
-    identity is the full generated group.
+    All generators are involutions, so the closure of the identity under
+    right multiplication by them is the full generated group.  States are
+    blocks of rows, on which right multiplication by the transvection along
+    c is one _flip with sel = c and add = G c.
     """
     dim = f.dim
     _require_nondegenerate(f)
     _check_dim(dim, ENUMERATION_MAX_DIM, "group enumeration")
-    identity = tuple(1 << i for i in range(dim))
+    stride = _stride(dim)
+    gram_g = _images(f)
     tgens = []
     for v in range(1, 1 << dim):
-        if _evaluate_bits(f, v):
-            tgens.append((v, _gram_bits(f, v)))
+        gv, g = gram_g(v)
+        if g:
+            tgens.append((v, gv))
     u0 = None
     if include_umap and dim == 4 and arf(f) == 0:
         u0 = canonical_umap(f).matrix.data
+    identity = _identity_block(dim, stride)
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for state in frontier:
-            for abits, wbits in tgens:
-                prod = tuple(_transvect(state, abits, wbits))
+            for cbits, gbits in tgens:
+                prod = _flip(state, cbits, gbits, stride, dim)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
             if u0 is not None:
-                prod = tuple(_mul_rows(u0, state))
+                prod = _pack(_mul_rows(_unpack(state, stride, dim), u0), stride)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return {BitMatrix(dim, dim, data) for data in seen}
+    return {BitMatrix(dim, dim, tuple(_unpack(state, stride, dim))) for state in seen}

@@ -21,8 +21,10 @@ from .gf2 import (
     _echelon,
     _echelon_add,
     _kernel,
+    _lookup,
     _mul_rows,
     _solution,
+    _tables,
     _transpose,
     parity,
     rank_rows,
@@ -70,6 +72,7 @@ class SymplecticBasis(_Value):
 # -- bit-level helpers shared inside the package ---------------------------
 
 def _evaluate_bits(f: QuadraticForm, vbits: int) -> int:
+    """g(v) by polarization over the set bits: the referee of _images."""
     acc = parity(vbits & f.basis_g.bits)
     rest = vbits
     gram = f.gram.data
@@ -91,13 +94,27 @@ def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
     return acc
 
 
-def _gram_bits(f: QuadraticForm, vbits: int) -> int:
-    """Packed image of v under the Gram matrix: bit j = B(e_j, v).
+@lru_cache(maxsize=1)
+def _images(f: QuadraticForm):
+    """The map v -> (G v, g(v)) of the form, one byte-table pass per vector.
 
-    The Gram is symmetric, so G v is the XOR of the rows that v picks, and
-    B(x, v) is parity(x & G v) for every x.
+    Row i of the table rows is gram[i] | upper[i] << dim, with upper the
+    strict upper triangle U of the Gram.  The rows that v picks sum to
+    G v | (U^T v) << dim: the Gram is symmetric, so bit j of G v is
+    B(e_j, v) and B(x, v) is parity(x & G v) for every x; and g(v) is
+    v^T U v + parity(v & basis_g).  Each workload meets one form at a time,
+    so one form's tables are kept.
     """
-    return _combine(f.gram.data, vbits)
+    dim = f.dim
+    mask = (1 << dim) - 1
+    gbits = f.basis_g.bits
+    tables = _tables([r | r >> (i + 1) << (i + 1 + dim) for i, r in enumerate(f.gram.data)])
+
+    def gram_g(vbits: int) -> tuple[int, int]:
+        acc = _lookup(tables, vbits)
+        return acc & mask, parity(vbits & ((acc >> dim) ^ gbits))
+
+    return gram_g
 
 
 def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -127,10 +144,10 @@ def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
 # -- evaluation -------------------------------------------------------------
 
 def evaluate(f: QuadraticForm, v: BitVector) -> int:
-    """g(v), expanded over the basis by polarization."""
+    """g(v), from the form's byte tables (see _images)."""
     if v.length != f.dim:
         raise ValueError("length mismatch")
-    return _evaluate_bits(f, v.bits)
+    return _images(f)(v.bits)[1]
 
 
 def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
@@ -168,16 +185,17 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     complement of the pairs found.  An x with no partner (always the last one
     in odd dimension) thus lies in the radical: ValueError("degenerate form").
     """
+    gram_g = _images(f)
     remaining = [1 << i for i in range(f.dim)]
     a_out: list[BitVector] = []
     b_out: list[BitVector] = []
     while remaining:
         x = remaining[0]
-        gx = _gram_bits(f, x)
+        gx = gram_g(x)[0]
         y = next((z for z in remaining[1:] if parity(z & gx)), None)
         if y is None:
             raise ValueError("degenerate form")
-        gy = _gram_bits(f, y)
+        gy = gram_g(y)[0]
         a_out.append(BitVector(f.dim, x))
         b_out.append(BitVector(f.dim, y))
         projected = []
@@ -208,10 +226,11 @@ def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],
     cs = [_solution(echelon, r) for r in rhs]
     if None in cs:
         raise ValueError("vectors are not independent")
+    gram_g = _images(f)
     out = []
     for i in range(k):
         b = cs[i]
-        gc = _gram_bits(f, cs[i])
+        gc = gram_g(b)[0]
         for m in range(i + 1, k):
             if parity(cs[m] & gc):
                 b ^= abits[m]
@@ -223,9 +242,10 @@ def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],
 def arf(f: QuadraticForm) -> int:
     """Arf invariant: sum of g(a_i) g(b_i) over a symplectic basis."""
     sb = symplectic_basis(f)
+    gram_g = _images(f)
     acc = 0
     for a, b in zip(sb.a_vectors, sb.b_vectors):
-        acc ^= _evaluate_bits(f, a.bits) & _evaluate_bits(f, b.bits)
+        acc ^= gram_g(a.bits)[1] & gram_g(b.bits)[1]
     return acc
 
 
@@ -273,8 +293,9 @@ def _find_flip(f: QuadraticForm, space_basis: Sequence[int]) -> int | None:
     g(k + k') = g(k) + g(k') + B(k, k'), so if every basis vector has g = 0
     a witness, when one exists, is a pair with B = 1.
     """
+    gram_g = _images(f)
     for k in space_basis:
-        if _evaluate_bits(f, k):
+        if gram_g(k)[1]:
             return k
     for i in range(len(space_basis)):
         for j in range(i + 1, len(space_basis)):
@@ -326,8 +347,9 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     if (dim, arf_value) == (4, 0) and k == 0 and a1 != a2:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
-    echelon = _echelon(_gram_bits(f, w) for w in wbits)
-    g1, g2 = _gram_bits(f, a1.bits), _gram_bits(f, a2.bits)
+    gram_g = _images(f)
+    echelon = _echelon(gram_g(w)[0] for w in wbits)
+    g1, g2 = gram_g(a1.bits)[0], gram_g(a2.bits)[0]
     return BitVector(dim, _connector(f, wbits, echelon, a1.bits, a2.bits, g1, g2))
 
 
@@ -344,6 +366,7 @@ def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
     """
     dim = f.dim
     rhs = 1 << dim
+    gram_g = _images(f)
     if ws:  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
         system = dict(echelon)
         _echelon_add(system, g1 | rhs)
@@ -352,22 +375,23 @@ def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
         b = _solution(system, rhs)
         if b is None:  # a1, a2 orthogonal to W and outside it make this solvable
             raise ValueError("no connector exists for the given configuration")
-        return b if _evaluate_bits(f, b) else b ^ ws[0]
+        return b if gram_g(b)[1] else b ^ ws[0]
 
     if a1 == a2:
         b = _solution(_echelon([g1 | rhs]), rhs)
         if b is None:  # only a1 = 0 has G a1 = 0
             raise ValueError("no connector exists for the given configuration")
-        if _evaluate_bits(f, b):
+        gb, gvalue = gram_g(b)
+        if gvalue:
             return b
-        perp_rows = (g1, _gram_bits(f, b))
+        perp_rows = (g1, gb)
         base = b
     else:
         b1, b2 = _complete_isotropic(f, [a1, a2], [g1, g2])
         base = b1 ^ b2
-        if _evaluate_bits(f, base):
+        if gram_g(base)[1]:
             return base
-        perp_rows = (g1, g2, _gram_bits(f, b1), _gram_bits(f, b2))
+        perp_rows = (g1, g2, gram_g(b1)[0], gram_g(b2)[0])
     d = _find_flip(f, _kernel(_echelon(perp_rows), dim))
     if d is None:
         raise ValueError("no connector exists for the given configuration")

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import quadpoint
-from quadpoint.gf2 import BitMatrix, BitVector, multiply
+from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import (
     QuadraticForm,
     _evaluate_bits,
-    _gram_bits,
     arf,
     is_nondegenerate,
     pullback,
@@ -125,12 +124,32 @@ def eliminated_connector(f, ws, a1, a2):
     the a rows; its free variables are zero.  A solution with g = 0 is
     moved into the right g-class by adding w_1.
     """
-    rows = [_gram_bits(f, v) for v in (*ws, a1)]
+    rows = [_matvec(f.gram.data, v) for v in (*ws, a1)]
     if a2 != a1:
-        rows.append(_gram_bits(f, a2))
+        rows.append(_matvec(f.gram.data, a2))
     rhs = (1 << len(rows)) - (1 << len(ws))
     b = rref_solve(rows, f.dim, rhs)
     return b if _evaluate_bits(f, b) else b ^ ws[0]
+
+
+def bit_product(a, b, cols=None):
+    """Rows of the product a . b, entry by entry; b has width cols (default:
+    len(b), a square b)."""
+    cols = len(b) if cols is None else cols
+    return [sum((sum((r >> k) & (b[k] >> j) & 1 for k in range(len(b))) & 1) << j
+                for j in range(cols)) for r in a]
+
+
+def random_gram(rng, dim: int):
+    """Rows of a seeded random symmetric zero-diagonal dim x dim matrix."""
+    rows = [0] * dim
+    for i in range(dim):
+        above = rng.getrandbits(dim) >> (i + 1) << (i + 1)
+        rows[i] |= above
+        for j in range(i + 1, dim):
+            if (above >> j) & 1:
+                rows[j] |= 1 << i
+    return rows
 
 
 def all_vectors(dim: int):

@@ -11,7 +11,11 @@ from quadpoint.gf2 import (
     BitVector,
     _echelon,
     _kernel,
+    _mul_rows,
+    _pack,
+    _stride,
     _transpose,
+    _unpack,
     kernel_basis,
     multiply,
     rank,
@@ -20,6 +24,7 @@ from quadpoint.gf2 import (
 
 from conftest import (
     bit_matrices,
+    bit_product,
     bit_vectors,
     rref,
     rref_kernel,
@@ -239,3 +244,28 @@ def test_transpose_edge_shapes(rows, cols):
     rng = random.Random(1000 * rows + cols)
     check_transpose([rng.getrandbits(cols) for _ in range(rows)], rows, cols)
     check_transpose([(1 << cols) - 1] * rows, rows, cols)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129])
+def test_pack_round_trip(width):
+    """Vector k of a block sits at bits k*stride and up, and unpacks unchanged."""
+    rng = random.Random(width)
+    n = _stride(width)
+    assert n >= max(8, width) and n & (n - 1) == 0
+    for count in (0, 1, 9, width):
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        x = _pack(rows, n)
+        assert x >> (count * n) == 0
+        assert [(x >> (k * n)) & ((1 << n) - 1) for k in range(count)] == rows
+        assert _unpack(x, n, count) == rows
+
+
+@pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 65])
+def test_table_product_matches_the_entrywise_product(inner):
+    """_mul_rows on full and partial byte tables of b against the product
+    entry by entry."""
+    rng = random.Random(inner)
+    for rows, cols in ((0, 5), (1, 9), (6, 70), (inner, inner)):
+        a = [rng.getrandbits(inner) for _ in range(rows)] + [(1 << inner) - 1]
+        b = [rng.getrandbits(cols) for _ in range(inner)]
+        assert _mul_rows(a, b) == bit_product(a, b, cols)

@@ -228,9 +228,9 @@ class TestQuadruplePoints:
         from quadpoint import mcg
 
         calls = []
-        real = mcg.is_orthogonal
-        monkeypatch.setattr(mcg, "is_orthogonal",
-                            lambda f, m: calls.append(m) or real(f, m))
+        real = mcg.in_orthogonal_mcg
+        monkeypatch.setattr(mcg, "in_orthogonal_mcg",
+                            lambda s, h: calls.append(h) or real(s, h))
         assert quadruple_point_invariant(S10, genus1_generators(0)[3]) == 1
         assert len(calls) == 1
         with pytest.raises(NotRegularlyHomotopicError):

@@ -155,6 +155,6 @@ class TestGroupOrderFormula:
 
 class TestGroupTable:
     def test_from_elements_sorted(self):
-        table = GroupTable.from_elements(F10, enumerate_group(F10))
+        table = GroupTable.from_elements(enumerate_group(F10))
         assert [matrix_key(m) for m in table.elements] == ["0110", "1001"]
         assert table.psi_values == (1, 0)

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpoint import orthogroup
-from quadpoint.gf2 import BitMatrix, BitVector, _transvect, multiply, rank, rank_rows
+from quadpoint.gf2 import (
+    BitMatrix,
+    BitVector,
+    _flip,
+    _pack,
+    _stride,
+    _transpose,
+    _unpack,
+    multiply,
+    rank,
+    rank_rows,
+)
 from quadpoint.oracle import democratic_arf, random_orthogonal
 from quadpoint.orthogroup import (
     DimensionGuardError,
@@ -26,7 +37,7 @@ from quadpoint.orthogroup import (
 )
 from quadpoint.quadform import (
     QuadraticForm,
-    _gram_bits,
+    _bil_bits,
     _preserves,
     arf,
     bilinear,
@@ -40,9 +51,11 @@ from quadpoint.quadform import (
 from conftest import (
     all_vectors,
     bit_matrices,
+    bit_product,
     dim4_arf0_forms,
     eliminated_connector,
     nondegenerate_forms,
+    random_gram,
     rref_inverse,
 )
 
@@ -51,13 +64,6 @@ F11 = standard_form(1, 1)
 F20 = standard_form(2, 0)
 F21 = standard_form(2, 1)
 SWAP = BitMatrix.from_strings(["01", "10"])
-
-
-def bit_product(a, b):
-    """Rows of the product of square matrices a . b, entry by entry."""
-    n = len(a)
-    return [sum((sum((a[i] >> k) & (b[k] >> j) & 1 for k in range(n)) & 1) << j
-                for j in range(n)) for i in range(n)]
 
 
 def g_one_vectors(f):
@@ -113,13 +119,37 @@ class TestTransvection:
 
 @given(st.data())
 def test_rank_one_update_is_the_transvection_product(data):
+    """T . m is a _flip of m's columns with sel = G c, add = c, and m . T a
+    _flip of m's rows with sel = c, add = G c; T is built from its definition
+    T e_j = e_j + B(e_j, c) c."""
     f = data.draw(st.one_of(st.just(standard_form(0, 0)), nondegenerate_forms()))
     dim = f.dim
     c = data.draw(st.sampled_from(
         [0] + [v for v in range(1, 1 << dim) if evaluate(f, BitVector(dim, v))]))
-    m = data.draw(bit_matrices(rows=dim, cols=dim))
-    updated = BitMatrix(dim, dim, tuple(_transvect(m.data, c, _gram_bits(f, c))))
-    assert updated == multiply(transvection_matrix(f, BitVector(dim, c)), m)
+    m = data.draw(bit_matrices(rows=dim, cols=dim)).data
+    gc = sum(_bil_bits(f, 1 << j, c) << j for j in range(dim))
+    t = [(1 << i) ^ (gc if (c >> i) & 1 else 0) for i in range(dim)]
+    n = _stride(dim)
+    cols = _flip(_pack(_transpose(m, dim), n), gc, c, n, dim)
+    assert _transpose(_unpack(cols, n, dim), dim) == bit_product(t, m)
+    assert _unpack(_flip(_pack(m, n), c, gc, n, dim), n, dim) == bit_product(m, t)
+    assert transvection_matrix(f, BitVector(dim, c)).data == tuple(t)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129])
+def test_flip_is_the_transvection_on_every_column(dim):
+    """_flip with sel = G c and add = c maps each vector x of a block to
+    x + B(x,c) c, with B from _bil_bits; edge widths of every stride."""
+    rng = random.Random(dim)
+    f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(random_gram(rng, dim))),
+                      BitVector(dim, rng.getrandbits(dim)))
+    n = _stride(dim)
+    for c in (0, (1 << dim) - 1, rng.getrandbits(dim), rng.getrandbits(dim)):
+        gc = sum(_bil_bits(f, 1 << j, c) << j for j in range(dim))
+        for count in (0, 1, dim):
+            cols = [rng.getrandbits(dim) for _ in range(count - 1)] + [(1 << dim) - 1] * (count > 0)
+            got = _unpack(_flip(_pack(cols, n), gc, c, n, count), n, count)
+            assert got == [x ^ (c if _bil_bits(f, x, c) else 0) for x in cols]
 
 
 class TestDegenerateForms:

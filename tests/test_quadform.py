@@ -11,7 +11,8 @@ from quadpoint.quadform import (
     SymplecticBasis,
     _bil_bits,
     _complete_isotropic,
-    _gram_bits,
+    _evaluate_bits,
+    _images,
     arf,
     bilinear,
     direct_sum,
@@ -171,7 +172,8 @@ class TestFormCaches:
 @settings(max_examples=60)
 @given(st.data())
 def test_gram_image_is_the_matvec(data):
-    """G v as the XOR of the rows v picks equals the row-by-row product."""
+    """G v from the form's byte tables equals the row-by-row product, and g(v)
+    from the same pass equals the polarization referee."""
     dim = data.draw(st.integers(0, 80))
     rows = [0] * dim
     for i in range(dim):
@@ -180,9 +182,10 @@ def test_gram_image_is_the_matvec(data):
         for j in range(i + 1, dim):
             if (above >> j) & 1:
                 rows[j] |= 1 << i
-    f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector.zero(dim))
+    gbits = data.draw(st.integers(0, (1 << dim) - 1))
+    f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector(dim, gbits))
     v = data.draw(st.integers(0, (1 << dim) - 1))
-    assert _gram_bits(f, v) == _matvec(f.gram.data, v)
+    assert _images(f)(v) == (_matvec(f.gram.data, v), _evaluate_bits(f, v))
 
 
 def check_symplectic(f, sb: SymplecticBasis):
@@ -236,7 +239,7 @@ class TestSymplecticBasis:
 def complete(f, a_vectors):
     """_complete_isotropic on explicit vectors, with their Gram images."""
     abits = [a.bits for a in a_vectors]
-    bs = _complete_isotropic(f, abits, [_gram_bits(f, a) for a in abits])
+    bs = _complete_isotropic(f, abits, [_matvec(f.gram.data, a) for a in abits])
     return [BitVector(f.dim, b) for b in bs]
 
 
@@ -280,9 +283,9 @@ class TestCompleteIsotropic:
         k = data.draw(st.integers(0, len(sb.a_vectors)))
         mix = data.draw(invertible_matrices(k))
         a = [_combine([v.bits for v in sb.a_vectors[:k]], r) for r in mix.data]
-        agram = [_gram_bits(f, v) for v in a]
+        agram = [_matvec(f.gram.data, v) for v in a]
         cs = [rref_solve(agram, f.dim, 1 << j) for j in range(k)]
-        expected = [c ^ _combine(a, sum(parity(c & _gram_bits(f, cm)) << m
+        expected = [c ^ _combine(a, sum(parity(c & _matvec(f.gram.data, cm)) << m
                                         for m, cm in enumerate(cs) if m > i))
                     for i, c in enumerate(cs)]
         bs = _complete_isotropic(f, a, agram)

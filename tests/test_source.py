@@ -85,3 +85,29 @@ def test_enumerate_import_set():
     standard-library modules in NOT_AT_STARTUP but random."""
     assert _loaded("quadpoint.cli, quadpoint.oracle",
                    ("dataclasses", "inspect", "typing", "pathlib")) == []
+
+
+def test_caches_are_bounded():
+    """Every lru_cache in the package has a finite maxsize, given as an int or
+    as a module-level int constant: no cache grows without bound.  functools'
+    unbounded cache is not used at all."""
+    constants = {target.id: node.value.value for _, node in _nodes()
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+    def name_of(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    caches, unbounded = 0, []
+    for name, node in _nodes():
+        if isinstance(node, ast.alias) and node.name == "cache" or name_of(node) == "cache":
+            unbounded.append(f"{name}:{getattr(node, 'lineno', '?')} functools.cache")
+        if not (isinstance(node, ast.Call) and name_of(node.func) == "lru_cache"):
+            continue
+        caches += 1
+        size = next((k.value for k in node.keywords if k.arg == "maxsize"),
+                    node.args[0] if node.args else ast.Constant(128))
+        value = constants.get(size.id) if isinstance(size, ast.Name) else getattr(size, "value", None)
+        if not (isinstance(value, int) and not isinstance(value, bool) and value > 0):
+            unbounded.append(f"{name}:{node.lineno} maxsize {ast.unparse(size)}")
+    assert caches and not unbounded

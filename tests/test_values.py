@@ -47,7 +47,7 @@ BUILDERS = {
     SurfacePinkallForm: lambda: SurfacePinkallForm(1, _form()),
     MappingClass: lambda: MappingClass(_swap(), 1),
     Token: lambda: Token("twist", BitVector(2, 1)),
-    GroupTable: lambda: GroupTable(_form(), (BitMatrix.identity(2), _swap()), (0, 1)),
+    GroupTable: lambda: GroupTable((BitMatrix.identity(2), _swap()), (0, 1)),
 }
 CLASSES = sorted(BUILDERS, key=lambda cls: cls.__name__)
 
