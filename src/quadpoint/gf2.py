@@ -290,24 +290,29 @@ def _ones(stride: int, count: int) -> int:
     return _pack([1] * count, stride)
 
 
+def _parities(x: int, stride: int, count: int) -> int:
+    """The block whose vector k is the parity of vector k of x, at its bit 0.
+
+    Folding x ^= x >> s for s = stride/2, ..., 1 leaves each slot's parity at
+    its bit 0, as the low half of a slot never reads the slot above.
+    """
+    s = stride >> 1
+    while s:
+        x ^= x >> s
+        s >>= 1
+    return x & _ones(stride, count)
+
+
 def _flip(x: int, sel: int, add: int, stride: int, count: int) -> int:
     """Add add to every vector v of the block with parity(v & sel) = 1.
 
-    t = x & (sel in every slot); folding t ^= t >> s for s = stride/2, ..., 1
-    leaves each slot's parity at its bit 0, as the low half of a slot never
-    reads the slot above.  The product with add then puts add in each slot
+    The parities of x & (sel in every slot), times add, put add in each slot
     of parity 1, without carries as add < 2^stride.  On a block of columns,
     sel = G c and add = c is left multiplication by the transvection
     x -> x + B(x,c) c; on a block of rows, sel = c and add = G c is right
     multiplication by it.
     """
-    ones = _ones(stride, count)
-    t = x & sel * ones
-    s = stride >> 1
-    while s:
-        t ^= t >> s
-        s >>= 1
-    return x ^ (t & ones) * add
+    return x ^ _parities(x & sel * _ones(stride, count), stride, count) * add
 
 
 def _transpose(data: Sequence[int], cols: int) -> list[int]:

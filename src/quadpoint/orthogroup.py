@@ -17,32 +17,33 @@ from .gf2 import (
     BitVector,
     _Value,
     _combine,
-    _echelon_add,
+    _echelon,
     _flip,
     _identity_block,
+    _kernel,
     _mul_rows,
     _pack,
+    _parities,
+    _solution,
     _stride,
     _transpose,
     _transpose_block,
     _unpack,
     kernel_basis,
     multiply,
-    parity,
     rank,
 )
 from .quadform import (
     FORM_CACHE_SIZE,
     QuadraticForm,
     _bil_bits,
-    _connector,
+    _find_flip,
     _images,
     _preserves,
     _require_nondegenerate,
     arf,
     evaluate,
     is_nondegenerate,
-    symplectic_basis,
 )
 
 
@@ -164,97 +165,79 @@ def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
 
 # -- decomposition into generators ------------------------------------------
 
-def _normalized_pairs(f: QuadraticForm) -> tuple[list[int], list[int]]:
-    """Symplectic basis adjusted so that every a_i has g = 1.
-
-    If g(a) = 0 but g(b) = 1 the pair is swapped; if both vanish, a+b has
-    g = 1 and (a+b, b) is again a hyperbolic pair.
-    """
-    sb = symplectic_basis(f)
-    gram_g = _images(f)
-    a_bits, b_bits = [], []
-    for a, b in zip(sb.a_vectors, sb.b_vectors):
-        ab, bb = a.bits, b.bits
-        if not gram_g(ab)[1]:
-            if gram_g(bb)[1]:
-                ab, bb = bb, ab
-            else:
-                ab ^= bb
-        a_bits.append(ab)
-        b_bits.append(bb)
-    return a_bits, b_bits
-
-
 def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
-    """Transvection word carrying m back to the identity.
+    """Transvection word carrying m back to the identity, one rank at a time.
 
-    Phase one returns each basis vector a_i to place with at most two
-    transvections orthogonal to the already-restored a's (via a connector
-    when B(image, target) = 0).  Phase two then fixes each b_j; at that
-    point the needed correction lies in the isotropic span of a_j..a_n,
-    where B(a_i, b_j) = delta_ij makes B(delta, b_i) its coefficient of
-    a_i, and splits into one or two transvections there.  The Gram images
-    of the pairs are computed once, so every bilinear test is one parity.
+    Step: for the current map T let q(v) = B(Tv, v).  As g(Tv) = g(v),
+    g((T + I)v) = q(v).  If q(v) = 1, then w = (T + I)v has g(w) = 1, the
+    transvection along w sends Tv to v, and B(x, w) = 0 for every x that T
+    fixes; so t_w T fixes v and Fix(T), and rank(T + I) drops by exactly
+    one.  v is the first e_i with q(e_i) = B(T e_i, e_i) = 1, read for all i
+    at once from the columns of T and the Gram rows, else the first
+    e_i + e_j with B(T e_i, e_j) + B(T e_j, e_i) = 1.
 
-    The images of a_0..a_{n-1}, b_0..b_{n-1} under the current map are kept
-    as one block of columns, so each transvection pushed is one _flip; the
-    targets are a basis, so the block equals their own block exactly when
-    the map is the identity.  The returned word is in application order:
-    composing its transvections, first entry first, reproduces m.
+    Dead end: q = 0 everywhere.  Then W = im(T + I) is totally singular, so
+    W lies in W^perp = Fix(T), T is an involution and dim W is even.  The
+    escape takes c with g(c) = 1 in Fix(T), or anywhere when Fix(T) = W is
+    Lagrangian, and v outside span(Fix(T), c) with B(v, c) = 1 and
+    B(v, (T + I)c) = 0.  It pushes c, then (T + I)v + c, the step of t_c T
+    at v (B(Tv, c) = B(v, Tc) = 1).  The map left fixes v and the x in
+    Fix(T) with B(x, c) = 0, so its rank is dim W again; its image, the
+    vectors of W + <c> orthogonal to v, holds a g = 1 vector, so the next
+    move is a step again.
+
+    So the word has rank(m + I) letters plus 2 per dead end.  Dead ends come
+    at strictly decreasing even ranks: at most 2 rank(m + I) <= 2 dim
+    letters.  A map that does not preserve g is rejected with ValueError,
+    at the latest past 2 dim pushes.  The columns of the current map are
+    one block, so each transvection pushed is one _flip.  The returned word
+    is in application order: composing its transvections, first entry
+    first, reproduces m.
     """
     dim = f.dim
-    n = dim // 2
     gram_g = _images(f)
-    a_bits, b_bits = _normalized_pairs(f)
-    a_gram = [gram_g(a)[0] for a in a_bits]
-    b_gram = [gram_g(b)[0] for b in b_bits]
-    targets = a_bits + b_bits
     stride = _stride(dim)
     mask = (1 << dim) - 1
-    block = _pack(_mul_rows(targets, _transpose(m.data, dim)), stride)
+    identity = _identity_block(dim, stride)
+    gram_block = _pack(f.gram.data, stride)
+    cols = _pack(_transpose(m.data, dim), stride)
     applied: list[int] = []
 
-    def push(cbits: int, wbits: int) -> None:
-        """Apply the transvection along c, given w = G c."""
-        nonlocal block
-        block = _flip(block, wbits, cbits, stride, dim)
-        applied.append(cbits)
+    def push(w: int) -> None:
+        nonlocal cols
+        cols = _flip(cols, gram_g(w)[0], w, stride, dim)
+        applied.append(w)
 
-    echelon: dict[int, int] = {}  # of G a_0 .. G a_{k-1}, for the connector
-    for k in range(n):
-        target = a_bits[k]
-        image = block >> (k * stride) & mask
-        if image != target:
-            gimage = gram_g(image)[0]
-            if parity(image & a_gram[k]):
-                push(image ^ target, gimage ^ a_gram[k])
-            else:
-                z = _connector(f, a_bits[:k], echelon, image, target, gimage, a_gram[k])
-                gz = gram_g(z)[0]
-                push(image ^ z, gimage ^ gz)
-                push(z ^ target, gz ^ a_gram[k])
-        _echelon_add(echelon, a_gram[k])
-
-    for j in range(n):
-        target = b_bits[j]
-        delta = (block >> ((n + j) * stride) & mask) ^ target
-        if delta == 0:
+    while cols != identity:
+        if len(applied) >= 2 * dim:
+            raise ValueError("restoration failed to reach the identity")
+        q = _parities(cols & gram_block, stride, dim)
+        if q:
+            i = ((q & -q).bit_length() - 1) // stride
+            push(cols >> (i * stride) & mask ^ 1 << i)
             continue
-        coeffs = 0
-        for i in range(j, n):
-            if parity(delta & b_gram[i]):
-                coeffs |= 1 << i
-        if _combine(a_bits, coeffs) != delta:
-            raise ValueError("restoration failed: correction outside expected span")
-        wdelta = _combine(a_gram, coeffs)
-        if (coeffs >> j) & 1:
-            push(delta, wdelta)
-        else:
-            push(delta ^ a_bits[j], wdelta ^ a_gram[j])
-            push(a_bits[j], a_gram[j])
-
-    if block != _pack(targets, stride):
-        raise ValueError("restoration failed to reach the identity")
+        columns = _unpack(cols, stride, dim)
+        gcols = [gram_g(x)[0] for x in columns]  # row i: B(T e_i, e_j) at bit j
+        beta = [r ^ s for r, s in zip(gcols, _transpose(gcols, dim))]
+        i = next((i for i, r in enumerate(beta) if r), None)
+        if i is not None:
+            v = 1 << i | beta[i] & -beta[i]
+            push(_combine(columns, v) ^ v)
+            continue
+        fixed = _kernel(_echelon(r ^ 1 << k for k, r in enumerate(_transpose(columns, dim))), dim)
+        c = _find_flip(f, fixed) or _find_flip(f, [1 << k for k in range(dim)])
+        tc = _combine(columns, c) ^ c
+        rhs = 1 << dim
+        system = _echelon([gram_g(c)[0] | rhs, gram_g(tc)[0]])
+        s0 = _solution(system, rhs)
+        # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c
+        v = None if s0 is None else next(
+            (x for x in (s0 ^ k for k in [0, *_kernel(system, dim)])
+             if _combine(columns, x) ^ x not in (0, tc)), None)
+        if v is None:
+            raise ValueError("restoration found no escape from a dead end")
+        push(c)
+        push(_combine(columns, v) ^ v ^ c)
     return [BitVector(dim, c) for c in reversed(applied)]
 
 
@@ -263,8 +246,14 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
 
     Returns (u_flag, word): applying the canonical dimension-4 Arf-0 swap
     first (when u_flag is 1) and then the word's transvections in list
-    order reproduces t.  Every word vector c has g(c) = 1, and the word
-    length is congruent to rank(t - Id) mod 2.
+    order reproduces t.  Every word vector c has g(c) = 1.  The word is
+    built one rank at a time (see _restoration_word): each step is a
+    transvection along (T + Id)v with B(Tv, v) = 1, which fixes v and
+    everything T fixes, and a dead end, where the image of T - Id is totally
+    singular, costs one two-letter escape.  So the word has rank(w - Id)
+    letters plus 2 per dead end, at most 2 rank(w - Id), where w is t, or t
+    times the swap when u_flag is 1; its length is congruent to
+    rank(t - Id) mod 2.
     """
     f = t.form
     u_flag = 0

@@ -19,7 +19,6 @@ from .gf2 import (
     _Value,
     _combine,
     _echelon,
-    _echelon_add,
     _kernel,
     _lookup,
     _mul_rows,
@@ -312,7 +311,9 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     a2 must lie in the orthogonal complement of W = span(w_i) but outside W,
     with g = 1 and B(a1,a2) = 0.  No such c exists in dimension 2 with
     Arf 0, nor in dimension 4 with Arf 0 when k = 0 and a1 != a2; those
-    requests are rejected.
+    requests are rejected.  With w vectors, c is the solution with free
+    variables zero (see _solution) of the rows G w_i with right-hand side 0
+    and G a1, G a2 with right-hand side 1, plus w_1 if its g is 0.
     """
     _require_nondegenerate(f)
     dim = f.dim
@@ -347,53 +348,27 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     if (dim, arf_value) == (4, 0) and k == 0 and a1 != a2:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
-    gram_g = _images(f)
-    echelon = _echelon(gram_g(w)[0] for w in wbits)
-    g1, g2 = gram_g(a1.bits)[0], gram_g(a2.bits)[0]
-    return BitVector(dim, _connector(f, wbits, echelon, a1.bits, a2.bits, g1, g2))
-
-
-def _connector(f: QuadraticForm, ws: Sequence[int], echelon: dict[int, int],
-               a1: int, a2: int, g1: int, g2: int) -> int:
-    """find_connector on packed vectors, their Gram images and an echelon.
-
-    g1 and g2 are G a1 and G a2, and echelon is the echelon form of the
-    G w_i (see _echelon_add).  With w vectors, the rows g1 and g2 with
-    right-hand side 1 (at bit dim) are added to a copy of the echelon form,
-    and b is the solution of the stacked system with free variables zero
-    (see _solution).  For callers that meet find_connector's preconditions;
-    a linear system left without a solution raises ValueError.
-    """
-    dim = f.dim
     rhs = 1 << dim
     gram_g = _images(f)
-    if ws:  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0
-        system = dict(echelon)
-        _echelon_add(system, g1 | rhs)
-        if a2 != a1:
-            _echelon_add(system, g2 | rhs)
-        b = _solution(system, rhs)
-        if b is None:  # a1, a2 orthogonal to W and outside it make this solvable
-            raise ValueError("no connector exists for the given configuration")
-        return b if gram_g(b)[1] else b ^ ws[0]
+    g1, g2 = gram_g(a1.bits)[0], gram_g(a2.bits)[0]
+    if ws:  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0; solvable as G is invertible, a1, a2 not in W
+        b = _solution(_echelon([*(gram_g(w)[0] for w in wbits), g1 | rhs, g2 | rhs]), rhs)
+        return BitVector(dim, b if gram_g(b)[1] else b ^ wbits[0])
 
     if a1 == a2:
         b = _solution(_echelon([g1 | rhs]), rhs)
-        if b is None:  # only a1 = 0 has G a1 = 0
-            raise ValueError("no connector exists for the given configuration")
         gb, gvalue = gram_g(b)
         if gvalue:
-            return b
+            return BitVector(dim, b)
         perp_rows = (g1, gb)
         base = b
     else:
-        b1, b2 = _complete_isotropic(f, [a1, a2], [g1, g2])
+        b1, b2 = _complete_isotropic(f, [a1.bits, a2.bits], [g1, g2])
         base = b1 ^ b2
         if gram_g(base)[1]:
-            return base
+            return BitVector(dim, base)
         perp_rows = (g1, g2, gram_g(b1)[0], gram_g(b2)[0])
     d = _find_flip(f, _kernel(_echelon(perp_rows), dim))
     if d is None:
         raise ValueError("no connector exists for the given configuration")
-    return base ^ d
-
+    return BitVector(dim, base ^ d)

@@ -1,6 +1,7 @@
 """Orthogonal group: membership, transvections, parity, decomposition."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from quadpoint.orthogroup import (
 from quadpoint.quadform import (
     QuadraticForm,
     _bil_bits,
+    _evaluate_bits,
     _preserves,
     arf,
     bilinear,
@@ -53,7 +55,6 @@ from conftest import (
     bit_matrices,
     bit_product,
     dim4_arf0_forms,
-    eliminated_connector,
     nondegenerate_forms,
     random_gram,
     rref_inverse,
@@ -349,15 +350,17 @@ class TestDecompose:
         u, word = decompose(t)
         assert recompose(f, u, word) == m
         assert len(word) % 2 == rank_parity(t)
+        r = rank(recompose(f, 0, word) ^ BitMatrix.identity(f.dim))
+        assert r <= len(word) <= 2 * r
 
     def test_non_orthogonal_input_raises_value_error(self):
         """The restoration either returns or raises ValueError, also under -O.
 
         900 seeded invertible non-orthogonal matrices in each of dims 4, 6
-        and 8; a few of them reach a connector system with no solution.
+        and 8; the cap of 2 dim transvections stops most of them.
         """
         rng = random.Random(3)
-        outcomes = {"returned": 0, "no connector": 0, "other ValueError": 0}
+        outcomes = {"returned": 0, "capped": 0, "no escape": 0}
         for dim in (4, 6, 8):
             f = standard_form(dim // 2, 1)
             drawn = 0
@@ -370,43 +373,117 @@ class TestDecompose:
                     _restoration_word(f, BitMatrix(dim, dim, tuple(rows)))
                     outcomes["returned"] += 1
                 except ValueError as exc:
-                    key = "no connector" if "no connector" in str(exc) else "other ValueError"
-                    outcomes[key] += 1
-        assert outcomes["no connector"] > 0
+                    key = {"restoration failed to reach the identity": "capped",
+                           "restoration found no escape from a dead end": "no escape"}
+                    outcomes[key[str(exc)]] += 1
+        assert sum(outcomes.values()) == 2700
+        assert outcomes["capped"] > 0
 
 
-def test_connector_steps_match_elimination(monkeypatch):
-    """Every phase-1 connector with k > 0 is solve's answer on the stacked system.
+# -- word length against a breadth-first search ---------------------------------
 
-    Seeded maps on seeded forms in dims 4 to 76; the connector carries the
-    echelon form of G a_0 .. G a_{k-1} from step to step instead of eliminating.
+@lru_cache(maxsize=2)
+def transvection_distances(genus, arf_value):
+    """The group the transvections generate, with each element's shortest word.
+
+    A BFS from the identity over packed row blocks, right multiplication by
+    the transvection along c being one _flip with sel = c and add = G c.  G c
+    and g(c) come from the polarization referees, not the form's tables.
+    Keys are row blocks at stride _stride(dim).
     """
-    steps = []
-    kernel = orthogroup._connector
+    f = standard_form(genus, arf_value)
+    dim = f.dim
+    n = _stride(dim)
+    gens = [(c, sum(_bil_bits(f, 1 << j, c) << j for j in range(dim)))
+            for c in range(1, 1 << dim) if _evaluate_bits(f, c)]
+    start = _pack([1 << i for i in range(dim)], n)
+    distances = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for c, gc in gens:
+                prod = _flip(state, c, gc, n, dim)
+                if prod not in distances:
+                    distances[prod] = distances[state] + 1
+                    nxt.append(prod)
+        frontier = nxt
+    return f, distances
 
-    def recording(f, ws, echelon, a1, a2, g1, g2):
-        c = kernel(f, ws, echelon, a1, a2, g1, g2)
-        steps.append((f, list(ws), a1, a2, c))
-        return c
 
-    monkeypatch.setattr(orthogroup, "_connector", recording)
-    rng = random.Random(11)
-    for genus in (2, 3, 4, 7, 12, 19, 26, 32, 38):
-        dim = 2 * genus
-        for arf_value in (0, 1):
-            rows: list[int] = []
-            while len(rows) < dim:
-                r = rng.getrandbits(dim)
-                if rank_rows(rows + [r]) == len(rows) + 1:
-                    rows.append(r)
-            f = pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(rows)))
-            t = random_orthogonal(f, seed=rng.getrandbits(32), length=4 * genus)
-            u, word = decompose(t)
-            assert recompose(f, u, word) == t.matrix
-    with_w = [step for step in steps if step[1]]
-    assert len(with_w) > 100
-    for f, ws, a1, a2, c in with_w:
-        assert c == eliminated_connector(f, ws, a1, a2)
+@pytest.mark.parametrize("genus, arf_value", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)])
+def test_word_length_against_bfs_minimum(genus, arf_value):
+    """Every element of dims 2 to 6: round trip, parity, and
+    rank(T - Id) <= |word| <= rank + 2, so at most 2 over the BFS minimum.
+
+    At dim 4 with Arf 0 the swap coset x u is included: its word reproduces
+    x, so it is held against x's rank and minimum.
+    """
+    f, distances = transvection_distances(genus, arf_value)
+    dim = f.dim
+    n = _stride(dim)
+    swap = canonical_umap(f).matrix if (genus, arf_value) == (2, 0) else None
+    for state, minimum in distances.items():
+        x = BitMatrix(dim, dim, _unpack(state, n, dim))
+        r = rank(x ^ BitMatrix.identity(dim))
+        for u_flag, m in [(0, x)] + ([(1, multiply(x, swap))] if swap else []):
+            u, word = decompose(OrthogonalMap(f, m))
+            assert (u, recompose(f, u, word)) == (u_flag, m)
+            assert r <= len(word) <= r + 2
+            assert len(word) <= minimum + 2
+            assert len(word) % 2 == r % 2 == minimum % 2
+
+
+@pytest.mark.parametrize("arf_value, count", [(0, 105), (1, 45)])
+def test_rank_two_dead_ends_take_four_letters(arf_value, count):
+    """The dim-6 maps whose image W = im(T + I) has rank 2 and g = 0 on it
+    start on a dead end: no v has B(Tv, v) = 1.  One escape and two steps
+    restore them in 4 letters, their BFS minimum."""
+    f, distances = transvection_distances(3, arf_value)
+    n = _stride(6)
+    found = 0
+    for state, minimum in distances.items():
+        rows = _unpack(state, n, 6)
+        cols = _transpose([r ^ 1 << i for i, r in enumerate(rows)], 6)
+        if rank_rows(cols) != 2 or any(_evaluate_bits(f, c) for c in cols) \
+                or any(_bil_bits(f, c, d) for c in cols for d in cols):
+            continue
+        found += 1
+        word = _restoration_word(f, BitMatrix(6, 6, rows))
+        assert recompose(f, 0, word).data == tuple(rows)
+        assert len(word) == minimum == 4
+    assert found == count
+
+
+@pytest.mark.parametrize("genus", [4, 6, 8])
+def test_lagrangian_dead_ends(genus):
+    """Involutions I + N with a Lagrangian totally singular image, dims 8 to 16.
+
+    On the standard Arf-0 form, whose a_i and b_i all have g = 0, N sends
+    b_i to a_{i xor 1} and every a_i to 0; so Fix(T) = span(a_i) = im(T + I)
+    holds no g = 1 vector, and the escape takes c outside it.  Each map is
+    moved to a seeded random basis P: the form x -> g(P x) and P^-1 T P.
+    """
+    base = standard_form(genus, 0)
+    dim = 2 * genus
+    columns = [1 << j for j in range(dim)]  # a_i = e_{2i}, b_i = e_{2i+1}
+    for i in range(genus):
+        columns[2 * i + 1] |= 1 << 2 * (i ^ 1)
+    t = _transpose(columns, dim)
+    rng = random.Random(genus)
+    for _ in range(8):
+        inverse = None
+        while inverse is None:
+            p = [rng.getrandbits(dim) for _ in range(dim)]
+            inverse = rref_inverse(p)
+        f = pullback(base, BitMatrix(dim, dim, tuple(p)))
+        m = BitMatrix(dim, dim, tuple(bit_product(bit_product(inverse, t), p)))
+        cols = _transpose([r ^ 1 << i for i, r in enumerate(m.data)], dim)
+        assert rank_rows(cols) == genus
+        assert not any(_evaluate_bits(f, c) for c in cols)
+        u, word = decompose(OrthogonalMap(f, m))
+        assert recompose(f, u, word) == m
+        assert genus <= len(word) <= 2 * genus
 
 
 class TestEnumerate:

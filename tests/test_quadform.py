@@ -452,6 +452,42 @@ class TestFindConnector:
                         checked += 1
         assert checked
 
+    @pytest.mark.parametrize("genus", [4, 7, 12, 19, 26, 32, 38])
+    def test_matches_elimination_on_seeded_bases(self, genus):
+        """With w vectors, seeded configurations in dims 8 to 76 get solve's answer.
+
+        On a standard form under a seeded change of basis, the a_i of its
+        symplectic basis, each with g(a_i) = 0 replaced by b_i if g(b_i) = 1
+        and by a_i + b_i if not, are independent, pairwise orthogonal and of
+        g = 1.  ws = a_0 .. a_{k-1}, a1 = a_k and a2 = a_{k+1} or a_k, for
+        every k from 1 to genus - 2.
+        """
+        rng = random.Random(genus)
+        dim = 2 * genus
+        checked = 0
+        for arf_value in (0, 1):
+            rows: list[int] = []
+            while len(rows) < dim:
+                r = rng.getrandbits(dim)
+                if rank_rows(rows + [r]) == len(rows) + 1:
+                    rows.append(r)
+            f = pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(rows)))
+            sb = symplectic_basis(f)
+            a_vectors = []
+            for a, b in zip(sb.a_vectors, sb.b_vectors):
+                if not evaluate(f, a):
+                    a = b if evaluate(f, b) else a ^ b
+                a_vectors.append(a)
+            for k in range(1, genus - 1):
+                ws = a_vectors[:k]
+                for a2 in (a_vectors[k + 1], a_vectors[k]):
+                    c = find_connector(f, ws, a_vectors[k], a2)
+                    connector_postconditions(f, ws, a_vectors[k], a2, c)
+                    assert c.bits == eliminated_connector(
+                        f, [w.bits for w in ws], a_vectors[k].bits, a2.bits)
+                    checked += 1
+        assert checked == 4 * (genus - 2)
+
     def test_precondition_reporting(self):
         a = BitVector.basis(4, 0)
         with pytest.raises(ValueError, match="g = 1"):
