@@ -8,7 +8,7 @@ precision.  Bits above the declared length are kept at zero.
 
 Elimination has one format, the echelon form {lowest set bit: row}:
 rank_rows makes its forward pass, and everything that reads a solution
-keeps it fully reduced (_echelon_add).
+keeps it fully reduced (_echelon).
 """
 
 from __future__ import annotations
@@ -315,6 +315,21 @@ def _flip(x: int, sel: int, add: int, stride: int, count: int) -> int:
     return x ^ _parities(x & sel * _ones(stride, count), stride, count) * add
 
 
+def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
+    """Rows of the product of the maps x -> x + parity(x & sel) add, one per
+    step (sel, add), the first step applied first.
+
+    The product is kept as a block of columns, on which each step is one
+    _flip, and transposed back to rows once at the end.  The transvection
+    along c is the step (G c, c).
+    """
+    stride = _stride(dim)
+    cols = _identity_block(dim, stride)
+    for sel, add in steps:
+        cols = _flip(cols, sel, add, stride, dim)
+    return _unpack(_transpose_block(cols, stride), stride, dim)
+
+
 def _transpose(data: Sequence[int], cols: int) -> list[int]:
     """Rows of the transpose of a matrix with the given rows and width."""
     if not data or not cols:
@@ -361,28 +376,25 @@ def _matvec(rows: Sequence[int], vbits: int) -> int:
     return out
 
 
-def _echelon_add(echelon: dict[int, int], row: int) -> None:
-    """Add a row to a fully reduced echelon form {lowest set bit: row}.
-
-    Every stored row is zero at the other rows' lowest bits: this is the
-    reduced row echelon form of the span, unique whatever the row order.
-    """
-    for low, r in echelon.items():
-        if row & low:
-            row ^= r
-    if row:
-        low = row & -row
-        for p, r in echelon.items():
-            if r & low:
-                echelon[p] = r ^ row
-        echelon[low] = row
-
-
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """The reduced echelon form {lowest set bit: row} of the span of the rows."""
+    """The reduced echelon form {lowest set bit: row} of the span of the rows.
+
+    Each row is reduced by the stored rows and, when it is not in their
+    span, cleared from them at its own lowest bit.  So every stored row is
+    zero at the other rows' lowest bits: this is the reduced row echelon
+    form of the span, unique whatever the row order.
+    """
     echelon: dict[int, int] = {}
     for row in rows:
-        _echelon_add(echelon, row)
+        for low, r in echelon.items():
+            if row & low:
+                row ^= r
+        if row:
+            low = row & -row
+            for p, r in echelon.items():
+                if r & low:
+                    echelon[p] = r ^ row
+            echelon[low] = row
     return echelon
 
 

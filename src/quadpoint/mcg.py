@@ -10,20 +10,8 @@ h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
 
 from __future__ import annotations
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    _flip,
-    _identity_block,
-    _mul_rows,
-    _pack,
-    _stride,
-    _transpose,
-    _transpose_block,
-    _unpack,
-    _Value,
-)
-from .orthogroup import canonical_umap, rank_parity
+from .gf2 import BitMatrix, BitVector, _product, _transpose, _Value
+from .orthogroup import _swap_steps, rank_parity
 from .quadform import (
     QuadraticForm,
     _images,
@@ -136,13 +124,12 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
 
     Squared twists act trivially on homology; the swap token is only
     admitted on genus 2 with Arf invariant 0 and contributes the canonical
-    involution with epsilon 0.  The product is kept as a block of columns,
-    on which a twist is one _flip and the swap u maps each column c to u c.
+    involution with epsilon 0.  Twists and swaps become the steps of one
+    _product.
     """
     dim = 2 * s.genus
-    stride = _stride(dim)
     gram_g = _images(s.form)
-    cols = _identity_block(dim, stride)
+    steps = []
     eps = 0
     for token in word:
         if token.kind in ("twist", "square"):
@@ -150,18 +137,16 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
             if c is None or c.length != dim:
                 raise ValueError(f"{token.kind} vector must have length {dim}")
             if token.kind == "twist":
-                cols = _flip(cols, gram_g(c.bits)[0], c.bits, stride, dim)
+                steps.append((gram_g(c.bits)[0], c.bits))
         elif token.kind == "flip":
             eps ^= 1
         elif token.kind == "umap":
             if s.genus != 2 or arf(s.form) != 0:
                 raise ValueError("the swap token requires genus 2 with Arf 0")
-            u_rows = canonical_umap(s.form).matrix.data
-            cols = _pack(_mul_rows(_unpack(cols, stride, dim), _transpose(u_rows, dim)), stride)
+            steps += _swap_steps(s.form)
         else:
             raise ValueError(f"unknown token kind: {token.kind}")
-    rows = _unpack(_transpose_block(cols, stride), stride, dim)
-    return MappingClass(BitMatrix(dim, dim, tuple(rows)), eps)
+    return MappingClass(BitMatrix(dim, dim, tuple(_product(dim, steps))), eps)
 
 
 def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:

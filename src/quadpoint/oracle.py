@@ -9,17 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .gf2 import (
-    BitMatrix,
-    _flip,
-    _identity_block,
-    _stride,
-    _transpose_block,
-    _unpack,
-    _Value,
-    parity,
-    rank_rows,
-)
+from .gf2 import BitMatrix, _product, _Value, parity, rank_rows
 from .orthogroup import OrthogonalMap, _check_dim, rank_parity
 from .quadform import (
     QuadraticForm,
@@ -108,27 +98,24 @@ def democratic_arf(f: QuadraticForm) -> int:
 
 
 def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap:
-    """Product of `length` transvections along seeded uniform g=1 vectors.
-
-    The product is kept as a block of columns, on which each transvection
-    is one _flip.
-    """
+    """Product of `length` transvections along seeded uniform g=1 vectors,
+    the first drawn applied first."""
     _require_nondegenerate(f)
     rng = random.Random(seed)
     dim = f.dim
-    stride = _stride(dim)
     gram_g = _images(f)
-    cols = _identity_block(dim, stride)
-    for _ in range(length):
-        if dim == 0:
-            raise ValueError("the zero-dimensional form has no g=1 vectors")
-        while True:
-            v = rng.getrandbits(dim)
-            if v and _evaluate_bits(f, v):
-                break
-        cols = _flip(cols, gram_g(v)[0], v, stride, dim)
-    rows = _unpack(_transpose_block(cols, stride), stride, dim)
-    return OrthogonalMap(f, BitMatrix(dim, dim, tuple(rows)))
+
+    def steps():
+        for _ in range(length):
+            if dim == 0:
+                raise ValueError("the zero-dimensional form has no g=1 vectors")
+            while True:
+                v = rng.getrandbits(dim)
+                if v and _evaluate_bits(f, v):
+                    break
+            yield gram_g(v)[0], v
+
+    return OrthogonalMap(f, BitMatrix(dim, dim, tuple(_product(dim, steps()))))
 
 
 def orthogonal_group_order(dim: int, arf_value: int) -> int:

@@ -21,13 +21,12 @@ from .gf2 import (
     _flip,
     _identity_block,
     _kernel,
-    _mul_rows,
     _pack,
     _parities,
+    _product,
     _solution,
     _stride,
     _transpose,
-    _transpose_block,
     _unpack,
     kernel_basis,
     multiply,
@@ -52,9 +51,7 @@ def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
     dim = f.dim
     if a.length != dim:
         raise ValueError("length mismatch")
-    stride = _stride(dim)
-    rows = _flip(_identity_block(dim, stride), a.bits, _images(f)(a.bits)[0], stride, dim)
-    return BitMatrix(dim, dim, tuple(_unpack(rows, stride, dim)))
+    return BitMatrix(dim, dim, tuple(_product(dim, [(_images(f)(a.bits)[0], a.bits)])))
 
 
 def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
@@ -142,25 +139,28 @@ def is_u_map(t: OrthogonalMap) -> bool:
     return t.apply(probe) in part.v2
 
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
-def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
-    """The canonical involutive swap of the two partition triples.
+def _swap_steps(f: QuadraticForm) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The canonical swap as two _product steps, ((G d2, d1), (G d1, d2)).
 
-    With u1 < u2 the first vectors of one triple and v1 < v2 of the other,
-    it exchanges u_i and v_i.  B is 1 inside a triple and 0 across, so with
-    d_i = u_i + v_i it is x -> x + B(x,d2) d1 + B(x,d1) d2: two rank-one
-    updates of the identity's rows, whose cross terms B(d1,d1) and B(d2,d2)
-    are 0.  u - Id has rank 2, parity 0.
+    With u1 < u2 the first vectors of one partition triple and v1 < v2 of
+    the other, the swap exchanges u_i and v_i.  B is 1 inside a triple and
+    0 across, so with d_i = u_i + v_i it is x -> x + B(x,d2) d1 + B(x,d1) d2:
+    the two steps, whose cross terms B(d1,d1) and B(d2,d2) are 0, so that
+    they commute.
     """
     part = umap_partition(f)
     u1, u2 = sorted(part.v1, key=BitVector.to01)[:2]
     v1, v2 = sorted(part.v2, key=BitVector.to01)[:2]
     d1, d2 = u1.bits ^ v1.bits, u2.bits ^ v2.bits
     gram_g = _images(f)
-    stride = _stride(4)
-    rows = _flip(_identity_block(4, stride), d1, gram_g(d2)[0], stride, 4)
-    rows = _flip(rows, d2, gram_g(d1)[0], stride, 4)
-    return OrthogonalMap(f, BitMatrix(4, 4, tuple(_unpack(rows, stride, 4))))
+    return (gram_g(d2)[0], d1), (gram_g(d1)[0], d2)
+
+
+@lru_cache(maxsize=FORM_CACHE_SIZE)
+def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
+    """The canonical involutive swap of the two partition triples, built
+    from _swap_steps; u - Id has rank 2, parity 0."""
+    return OrthogonalMap(f, BitMatrix(4, 4, tuple(_product(4, _swap_steps(f)))))
 
 
 # -- decomposition into generators ------------------------------------------
@@ -265,25 +265,26 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
 
 
 def recompose(f: QuadraticForm, u_flag: int, word: Iterable[BitVector]) -> BitMatrix:
-    """Product of the decomposition: swap first (if flagged), then the word.
-
-    The product is kept as a block of columns, on which each transvection
-    is one _flip, and transposed back to rows once at the end.
-    """
+    """Product of the decomposition: swap first (if u_flag is 1), then the
+    word, as one _product of their steps."""
     _require_nondegenerate(f)
+    if u_flag not in (0, 1):
+        raise ValueError("u_flag must be 0 or 1")
     dim = f.dim
-    stride = _stride(dim)
     gram_g = _images(f)
-    start = canonical_umap(f).matrix.data if u_flag else BitMatrix.identity(dim).data
-    cols = _transpose_block(_pack(start, stride), stride)
-    for c in word:
-        if c.length != dim:
-            raise ValueError("length mismatch")
-        gc, g = gram_g(c.bits)
-        if g != 1 and c.bits:
-            raise ValueError("word vector must satisfy g(c) = 1 or c = 0")
-        cols = _flip(cols, gc, c.bits, stride, dim)
-    return BitMatrix(dim, dim, tuple(_unpack(_transpose_block(cols, stride), stride, dim)))
+
+    def steps():
+        if u_flag:
+            yield from _swap_steps(f)
+        for c in word:
+            if c.length != dim:
+                raise ValueError("length mismatch")
+            gc, g = gram_g(c.bits)
+            if g != 1 and c.bits:
+                raise ValueError("word vector must satisfy g(c) = 1 or c = 0")
+            yield gc, c.bits
+
+    return BitMatrix(dim, dim, tuple(_product(dim, steps())))
 
 
 # The largest dimension enumerate_group accepts: dimension 6 has 40,320 or
@@ -305,8 +306,9 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
 
     All generators are involutions, so the closure of the identity under
     right multiplication by them is the full generated group.  States are
-    blocks of rows, on which right multiplication by the transvection along
-    c is one _flip with sel = c and add = G c.
+    blocks of rows, on which right multiplication by a step (sel, add) is
+    one _flip with sel and add exchanged: sel = c and add = G c for the
+    transvection along c, and the two _swap_steps for the swap.
     """
     dim = f.dim
     _require_nondegenerate(f)
@@ -318,9 +320,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
         gv, g = gram_g(v)
         if g:
             tgens.append((v, gv))
-    u0 = None
-    if include_umap and dim == 4 and arf(f) == 0:
-        u0 = canonical_umap(f).matrix.data
+    swap = _swap_steps(f) if include_umap and dim == 4 and arf(f) == 0 else ()
     identity = _identity_block(dim, stride)
     seen = {identity}
     frontier = [identity]
@@ -332,8 +332,10 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
-            if u0 is not None:
-                prod = _pack(_mul_rows(_unpack(state, stride, dim), u0), stride)
+            if swap:
+                prod = state
+                for sel, add in swap:
+                    prod = _flip(prod, add, sel, stride, dim)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

@@ -11,13 +11,16 @@ from quadpoint.gf2 import (
     BitVector,
     _echelon,
     _kernel,
+    _matvec,
     _mul_rows,
     _pack,
+    _product,
     _stride,
     _transpose,
     _unpack,
     kernel_basis,
     multiply,
+    parity,
     rank,
     solve,
 )
@@ -269,3 +272,29 @@ def test_table_product_matches_the_entrywise_product(inner):
         a = [rng.getrandbits(inner) for _ in range(rows)] + [(1 << inner) - 1]
         b = [rng.getrandbits(cols) for _ in range(inner)]
         assert _mul_rows(a, b) == bit_product(a, b, cols)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 16, 17, 64, 65])
+def test_product_is_the_chain_of_its_steps(dim):
+    """_product against the multiply chain of one-step matrices, the later
+    step on the left; row i of the step (sel, add) is e_i + add_i sel.  Its
+    rows also map each x as the steps do one after another, read by _matvec.
+    No steps give the identity; dims are the stride edges."""
+    rng = random.Random(dim)
+    ones = (1 << dim) - 1
+    identity = BitMatrix.identity(dim)
+    assert _product(dim, []) == list(identity.data)
+    for length in (1, 2, 6):
+        steps = [(rng.getrandbits(dim), rng.getrandbits(dim)) for _ in range(length - 1)]
+        steps.append((ones, ones))
+        expected = identity
+        for sel, add in steps:
+            step = [(1 << i) ^ (sel if (add >> i) & 1 else 0) for i in range(dim)]
+            expected = multiply(BitMatrix(dim, dim, tuple(step)), expected)
+        rows = _product(dim, steps)
+        assert rows == list(expected.data)
+        for x in (0, ones, rng.getrandbits(dim), rng.getrandbits(dim)):
+            y = x
+            for sel, add in steps:
+                y ^= add if parity(y & sel) else 0
+            assert _matvec(rows, x) == y

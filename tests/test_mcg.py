@@ -28,9 +28,9 @@ from quadpoint.mcg import (
 )
 from quadpoint.oracle import filter_full_linear_group
 from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
-from quadpoint.quadform import direct_sum, evaluate, standard_form
+from quadpoint.quadform import _bil_bits, arf, direct_sum, evaluate, standard_form
 
-from conftest import all_vectors
+from conftest import all_vectors, bit_product
 
 S0 = SurfacePinkallForm.standard(0, 0)
 S10 = SurfacePinkallForm.standard(1, 0)
@@ -152,6 +152,34 @@ class TestEvaluateWord:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate_word(S20, [twist(ML)])
+
+    def test_umap_between_twists(self):
+        """On every genus-2 Arf-0 surface, a word with the swap between twists
+        is the product of the referee matrices, the later token on the left:
+        a twist from its definition e_j + B(e_j, c) c with B from _bil_bits,
+        the swap as canonical_umap; squares act trivially, a flip sets eps."""
+        rng = random.Random(14)
+        surfaces = [s for s in (SurfacePinkallForm.from_g_values(2, BitVector(4, g))
+                                for g in range(16)) if arf(s.form) == 0]
+        assert len(surfaces) == 10
+        for s in surfaces:
+            f = s.form
+            ones = [v for v in all_vectors(4) if evaluate(f, v) == 1]
+            for _ in range(5):
+                before, after = ([twist(rng.choice(ones)) for _ in range(rng.randint(0, 3))]
+                                 for _ in range(2))
+                word = before + [square(BitVector(4, rng.getrandbits(4))), UMAP, FLIP] + after
+                expected = [1 << i for i in range(4)]
+                for token in word:
+                    if token is UMAP:
+                        expected = bit_product(canonical_umap(f).matrix.data, expected)
+                    elif token.kind == "twist":
+                        c = token.vector.bits
+                        gc = sum(_bil_bits(f, 1 << j, c) << j for j in range(4))
+                        t = [(1 << i) ^ (gc if (c >> i) & 1 else 0) for i in range(4)]
+                        expected = bit_product(t, expected)
+                h = evaluate_word(s, word)
+                assert h == MappingClass(BitMatrix(4, 4, tuple(expected)), 1)
 
 
 class TestMembership:

@@ -12,6 +12,7 @@ from quadpoint.gf2 import (
     BitVector,
     _flip,
     _pack,
+    _product,
     _stride,
     _transpose,
     _unpack,
@@ -24,6 +25,7 @@ from quadpoint.orthogroup import (
     DimensionGuardError,
     OrthogonalMap,
     _restoration_word,
+    _swap_steps,
     canonical_umap,
     decompose,
     enumerate_group,
@@ -265,7 +267,8 @@ class TestCanonicalUmap:
     def test_contract_on_every_form(self):
         """On all 280 dim-4 Arf-0 forms: u1, u2 go to v1, v2 in order, the map is
         an involution, and it is C S C^-1, the swap S of coordinates 0, 1 with
-        2, 3 in the basis C = (u1, u2, v1, v2)."""
+        2, 3 in the basis C = (u1, u2, v1, v2).  Its two _swap_steps commute:
+        both orders give this map, which exchanges the partition triples."""
         swap = [1 << 2, 1 << 3, 1 << 0, 1 << 1]
         count = 0
         for f in dim4_arf0_forms():
@@ -279,6 +282,10 @@ class TestCanonicalUmap:
                       for i in range(4)]
             assert list(m.data) == bit_product(bit_product(change, swap),
                                                rref_inverse(change))
+            steps = _swap_steps(f)
+            assert _product(4, steps) == _product(4, steps[::-1]) == list(m.data)
+            assert {m.apply(v) for v in part.v1} == set(part.v2)
+            assert {m.apply(v) for v in part.v2} == set(part.v1)
             count += 1
         assert count == 280
 
@@ -318,6 +325,13 @@ class TestDecompose:
 
     def test_canonical_umap(self):
         assert decompose(canonical_umap(F20)) == (1, [])
+
+    @pytest.mark.parametrize("u_flag", [2, -1])
+    def test_u_flag_outside_zero_one_rejected(self, u_flag):
+        """Any other flag is rejected, not taken as the swap."""
+        for f in (F20, F21):
+            with pytest.raises(ValueError, match="^u_flag must be 0 or 1$"):
+                recompose(f, u_flag, [])
 
     def test_u_flag_only_for_u_maps(self, small_groups):
         f = F20

@@ -111,3 +111,20 @@ def test_caches_are_bounded():
         if not (isinstance(value, int) and not isinstance(value, bool) and value > 0):
             unbounded.append(f"{name}:{node.lineno} maxsize {ast.unparse(size)}")
     assert caches and not unbounded
+
+
+def _users(names):
+    """The package modules that name any of the given names."""
+    return {name for name, node in _nodes()
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names)}
+
+
+def test_packed_block_stays_behind_gf2_and_orthogroup():
+    """Only gf2 and orthogroup know the packed block; every other module
+    turns a word into a matrix through gf2._product.  Only gf2 and quadform
+    multiply rows by byte tables."""
+    block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block"}
+    assert _users(block) <= {"gf2.py", "orthogroup.py"}
+    assert _users({"_mul_rows"}) <= {"gf2.py", "quadform.py"}
