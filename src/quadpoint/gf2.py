@@ -330,6 +330,41 @@ def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
     return _unpack(_transpose_block(cols, stride), stride, dim)
 
 
+def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
+    """The greedy symplectic pairs (x, y) of the alternating form with these
+    Gram rows; ValueError("degenerate form") when an x has no partner.
+
+    Block Z holds the remaining vectors z_k (at first e_k) and block M their
+    Gram, B(z_k, z_j) at bit j of slot k.  x is the first nonzero slot of Z
+    and y the first z with B(x, z) = 1, the lowest bit of M's row x.  Each z
+    is projected to z + B(z, y) x + B(z, x) y: with alpha = B(., y) and
+    beta = B(., x) read off M, Z += alpha x + beta y and M += beta alpha^T +
+    alpha beta^T, the congruence by the projection, with no parity fold.  x
+    and y become 0, and the zero slots below x are shifted out (ix counts
+    them).  The projection has kernel span(x, y), so the rest stay
+    independent; an x with no partner lies in the radical.
+    """
+    dim = len(gram)
+    stride = _stride(dim)
+    mask, ones = (1 << dim) - 1, _ones(stride, dim)
+    z, m, ix = _identity_block(dim, stride), _pack(gram, stride), 0
+    pairs = []
+    while z:
+        skip = ((z & -z).bit_length() - 1) // stride
+        z, m, ix = z >> skip * stride, m >> skip * stride, ix + skip
+        row_x = m & mask
+        if not row_x:
+            raise ValueError("degenerate form")
+        iy = (row_x & -row_x).bit_length() - 1
+        row_y = m >> (iy - ix) * stride & mask
+        x, y = z & mask, z >> (iy - ix) * stride & mask
+        alpha, beta = m >> iy & ones, m >> ix & ones
+        m ^= beta * row_y ^ alpha * row_x
+        z ^= alpha * x ^ beta * y
+        pairs.append((x, y))
+    return pairs
+
+
 def _transpose(data: Sequence[int], cols: int) -> list[int]:
     """Rows of the transpose of a matrix with the given rows and width."""
     if not data or not cols:

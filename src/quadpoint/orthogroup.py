@@ -21,6 +21,7 @@ from .gf2 import (
     _flip,
     _identity_block,
     _kernel,
+    _ones,
     _pack,
     _parities,
     _product,
@@ -173,7 +174,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     transvection along w sends Tv to v, and B(x, w) = 0 for every x that T
     fixes; so t_w T fixes v and Fix(T), and rank(T + I) drops by exactly
     one.  v is the first e_i with q(e_i) = B(T e_i, e_i) = 1, read for all i
-    at once from the columns of T and the Gram rows, else the first
+    at once off the Gram images of the columns of T, else the first
     e_i + e_j with B(T e_i, e_j) + B(T e_j, e_i) = 1.
 
     Dead end: q = 0 everywhere.  Then W = im(T + I) is totally singular, so
@@ -189,36 +190,43 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     So the word has rank(m + I) letters plus 2 per dead end.  Dead ends come
     at strictly decreasing even ranks: at most 2 rank(m + I) <= 2 dim
     letters.  A map that does not preserve g is rejected with ValueError,
-    at the latest past 2 dim pushes.  The columns of the current map are
-    one block, so each transvection pushed is one _flip.  The returned word
-    is in application order: composing its transvections, first entry
-    first, reproduces m.
+    at the latest past 2 dim pushes.  The columns of the current map are one
+    block, cols, carried with gcols = G cols, so q(e_i) is bit i of slot i of
+    gcols.  A push of w folds once, p = B(T e_j, w) for all j, and adds p w
+    to cols and p G w to gcols.  The returned word is in application order:
+    composing its transvections, first entry first, reproduces m.
     """
     dim = f.dim
     gram_g = _images(f)
     stride = _stride(dim)
     mask = (1 << dim) - 1
+    ones = _ones(stride, dim)
+    diagonal = ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
     identity = _identity_block(dim, stride)
-    gram_block = _pack(f.gram.data, stride)
-    cols = _pack(_transpose(m.data, dim), stride)
+    columns = _transpose(m.data, dim)
+    cols = _pack(columns, stride)
+    gcols = _pack([gram_g(c)[0] for c in columns], stride)
     applied: list[int] = []
 
     def push(w: int) -> None:
-        nonlocal cols
-        cols = _flip(cols, gram_g(w)[0], w, stride, dim)
+        nonlocal cols, gcols
+        gw = gram_g(w)[0]
+        p = _parities(cols & gw * ones, stride, dim)
+        cols ^= p * w
+        gcols ^= p * gw
         applied.append(w)
 
     while cols != identity:
         if len(applied) >= 2 * dim:
             raise ValueError("restoration failed to reach the identity")
-        q = _parities(cols & gram_block, stride, dim)
+        q = gcols & diagonal
         if q:
             i = ((q & -q).bit_length() - 1) // stride
             push(cols >> (i * stride) & mask ^ 1 << i)
             continue
         columns = _unpack(cols, stride, dim)
-        gcols = [gram_g(x)[0] for x in columns]  # row i: B(T e_i, e_j) at bit j
-        beta = [r ^ s for r, s in zip(gcols, _transpose(gcols, dim))]
+        images = _unpack(gcols, stride, dim)  # row i: B(T e_i, e_j) at bit j
+        beta = [r ^ s for r, s in zip(images, _transpose(images, dim))]
         i = next((i for i, r in enumerate(beta) if r), None)
         if i is not None:
             v = 1 << i | beta[i] & -beta[i]

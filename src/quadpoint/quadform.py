@@ -23,6 +23,7 @@ from .gf2 import (
     _lookup,
     _mul_rows,
     _solution,
+    _symplectic_pairs,
     _tables,
     _transpose,
     parity,
@@ -134,10 +135,15 @@ def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ..
 def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
     """Whether m^T gram m = gram and g(m e_i) = g(e_i) for every i.
 
+    One _images lookup per column c_i = m e_i gives G c_i and g(c_i); column
+    i of m^T gram m is m^T (G c_i), read from the byte tables of m's rows.
     By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
     form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
     """
-    return _pullback_bits(f, rows) == (f.gram.data, f.basis_g.bits)
+    gram_g, tables = _images(f), _tables(rows)
+    images = (gram_g(c) for c in _transpose(rows, f.dim))
+    return all(g == f.basis_g.bits >> i & 1 and _lookup(tables, gc) == row
+               for i, ((gc, g), row) in enumerate(zip(images, f.gram.data)))
 
 
 # -- evaluation -------------------------------------------------------------
@@ -176,38 +182,14 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     """A symplectic basis, produced by a deterministic greedy reduction.
 
     Repeatedly takes the first remaining vector x, the first partner y
-    with B(x,y) = 1, and replaces the rest by their projections to the
-    orthogonal complement of the pair.  G x and G y are computed once per
-    pair; B(z + x, x) = B(z, x), so the second test may read the updated z.
-    The projection is linear with kernel span(x, y), so the projections of
-    the other, independent, remaining vectors stay independent and span the
-    complement of the pairs found.  An x with no partner (always the last one
-    in odd dimension) thus lies in the radical: ValueError("degenerate form").
+    with B(x,y) = 1, and projects the rest to the orthogonal complement of
+    the pair, on their Gram block updated by congruence, so that no B is
+    recomputed (gf2._symplectic_pairs).  An x with no partner lies in the
+    radical: ValueError("degenerate form").
     """
-    gram_g = _images(f)
-    remaining = [1 << i for i in range(f.dim)]
-    a_out: list[BitVector] = []
-    b_out: list[BitVector] = []
-    while remaining:
-        x = remaining[0]
-        gx = gram_g(x)[0]
-        y = next((z for z in remaining[1:] if parity(z & gx)), None)
-        if y is None:
-            raise ValueError("degenerate form")
-        gy = gram_g(y)[0]
-        a_out.append(BitVector(f.dim, x))
-        b_out.append(BitVector(f.dim, y))
-        projected = []
-        for z in remaining:
-            if z in (x, y):
-                continue
-            if parity(z & gy):
-                z ^= x
-            if parity(z & gx):
-                z ^= y
-            projected.append(z)
-        remaining = projected
-    return SymplecticBasis(tuple(a_out), tuple(b_out))
+    pairs = _symplectic_pairs(f.gram.data)
+    return SymplecticBasis(tuple(BitVector(f.dim, x) for x, _ in pairs),
+                           tuple(BitVector(f.dim, y) for _, y in pairs))
 
 
 def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import quadpoint
-from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply
+from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply, parity
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import (
     QuadraticForm,
@@ -18,6 +18,7 @@ from quadpoint.quadform import (
     is_nondegenerate,
     pullback,
     standard_form,
+    symplectic_basis,
 )
 
 settings.register_profile("suite", deadline=None)
@@ -62,11 +63,12 @@ def nondegenerate_forms(draw, max_genus=3):
     return pullback(base, p)
 
 
-# -- reference elimination -------------------------------------------------
+# -- reference elimination and symplectic reduction -------------------------
 #
 # A column scan over a list of rows with a separate pivot list: a second,
 # independent elimination that gf2's echelon form {lowest set bit: row} is
-# checked against.
+# checked against; and the greedy symplectic reduction as a loop of single
+# parities over a list of vectors.
 
 def rref(data, cols):
     """Reduced row echelon form over the first cols columns.
@@ -114,6 +116,51 @@ def rref_inverse(data):
     n = len(data)
     reduced, pivot_cols = rref([row | (1 << (n + i)) for i, row in enumerate(data)], n)
     return [row >> n for row in reduced] if len(pivot_cols) == n else None
+
+
+def projected_pairs(gram):
+    """The greedy symplectic pairs (x, y) by projecting a list of vectors.
+
+    Takes the first remaining vector x and the first partner y with
+    B(x, y) = 1, and projects every other z to z + B(z, y) x + B(z, x) y,
+    one parity at a time; raises ValueError("degenerate form") when x has no
+    partner.  The reference that gf2's block congruence is checked against.
+    """
+    remaining = [1 << i for i in range(len(gram))]
+    pairs = []
+    while remaining:
+        x = remaining[0]
+        gx = _matvec(gram, x)
+        y = next((z for z in remaining[1:] if parity(z & gx)), None)
+        if y is None:
+            raise ValueError("degenerate form")
+        gy = _matvec(gram, y)
+        pairs.append((x, y))
+        projected = []
+        for z in remaining:
+            if z in (x, y):
+                continue
+            if parity(z & gy):
+                z ^= x
+            if parity(z & gx):
+                z ^= y
+            projected.append(z)
+        remaining = projected
+    return pairs
+
+
+def same_symplectic_pairs(f):
+    """Whether symplectic_basis(f) gives the reference pairs, or both raise
+    ValueError("degenerate form")."""
+    try:
+        expected = projected_pairs(f.gram.data)
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        sb = symplectic_basis(f)
+    except ValueError as exc:
+        return str(exc) == expected == "degenerate form"
+    return [(a.bits, b.bits) for a, b in zip(sb.a_vectors, sb.b_vectors)] == expected
 
 
 def eliminated_connector(f, ws, a1, a2):

@@ -43,6 +43,7 @@ from quadpoint.quadform import (
     _bil_bits,
     _evaluate_bits,
     _preserves,
+    _pullback_bits,
     arf,
     bilinear,
     evaluate,
@@ -73,6 +74,33 @@ def g_one_vectors(f):
     return [v for v in all_vectors(f.dim) if evaluate(f, v) == 1]
 
 
+def seeded_form(rng, genus, arf_value):
+    """The standard form in a seeded random basis, drawn row by row with
+    rejection as the benchmark draws its forms."""
+    dim = 2 * genus
+    rows: list[int] = []
+    while len(rows) < dim:
+        r = rng.getrandbits(dim)
+        if rank_rows(rows + [r]) == len(rows) + 1:
+            rows.append(r)
+    return pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(rows)))
+
+
+def one_bit_flipped(rng, rows):
+    """The rows with one seeded entry flipped."""
+    dim = len(rows)
+    out = list(rows)
+    out[rng.randrange(dim)] ^= 1 << rng.randrange(dim)
+    return out
+
+
+def checked_preserves(f, rows):
+    """_preserves, asserted equal to the pullback referee's answer."""
+    expected = _pullback_bits(f, rows) == (f.gram.data, f.basis_g.bits)
+    assert _preserves(f, rows) == expected
+    return expected
+
+
 class TestIsOrthogonal:
     def test_identity(self):
         assert is_orthogonal(F20, BitMatrix.identity(4))
@@ -90,6 +118,49 @@ class TestIsOrthogonal:
     def test_certified_constructor(self):
         with pytest.raises(ValueError):
             OrthogonalMap(F10, SWAP ^ BitMatrix.identity(2))  # singular
+
+    def test_preserves_matches_pullback_on_small_groups(self, small_groups):
+        """Every element of the dim-2 and dim-4 groups, and each of its
+        one-bit perturbations, against the pullback referee."""
+        for (genus, arf_value), group in small_groups.items():
+            f = standard_form(genus, arf_value)
+            dim = f.dim
+            for m in group:
+                assert checked_preserves(f, m.data)
+                for k in range(dim * dim):
+                    rows = list(m.data)
+                    rows[k // dim] ^= 1 << k % dim
+                    checked_preserves(f, rows)
+
+    @pytest.mark.parametrize("dim", [8, 64, 66, 76])
+    def test_preserves_matches_pullback_at_stride_edges(self, dim):
+        """A seeded orthogonal map, seeded one-bit perturbations of it, and two
+        maps that keep half of the form, all against the pullback referee.  A
+        transvection along a g = 0 vector c != 0 keeps B and moves g; a swap
+        of two basis vectors with equal g values keeps every g(e_i) and moves
+        the Gram.  Only the first is orthogonal."""
+        rng = random.Random(dim)
+        f = seeded_form(rng, dim // 2, dim // 2 % 2)
+        m = random_orthogonal(f, dim, 2 * dim).matrix.data
+        assert checked_preserves(f, m)
+        for _ in range(16):
+            assert not checked_preserves(f, one_bit_flipped(rng, m))
+
+        c = 0
+        while not c or _evaluate_bits(f, c):
+            c = rng.getrandbits(dim)
+        rows = transvection_matrix(f, BitVector(dim, c)).data
+        gram, gbits = _pullback_bits(f, rows)
+        assert (gram == f.gram.data, gbits == f.basis_g.bits) == (True, False)
+        assert not checked_preserves(f, rows)
+
+        g, b = f.basis_g.bits, f.gram.data
+        i, j = next((i, j) for i in range(dim) for j in range(i + 1, dim)
+                    if (g >> i ^ g >> j) & 1 == 0 and (b[i] ^ b[j]) & ~(1 << i | 1 << j))
+        rows = [1 << (j if k == i else i if k == j else k) for k in range(dim)]
+        gram, gbits = _pullback_bits(f, rows)
+        assert (gram == f.gram.data, gbits == f.basis_g.bits) == (False, True)
+        assert not checked_preserves(f, rows)
 
 
 class TestTransvection:
@@ -366,6 +437,25 @@ class TestDecompose:
         assert len(word) % 2 == rank_parity(t)
         r = rank(recompose(f, 0, word) ^ BitMatrix.identity(f.dim))
         assert r <= len(word) <= 2 * r
+
+    @pytest.mark.parametrize("dim", [16, 62, 64, 66, 76])
+    def test_round_trip_at_stride_edges(self, dim):
+        """Seeded forms of both Arf values and words of 4 genus transvections:
+        certify, decompose and recompose; rank <= |word| <= 2 rank; and a
+        one-bit perturbation is rejected by the certificate."""
+        genus = dim // 2
+        rng = random.Random(dim)
+        for arf_value in (0, 1):
+            f = seeded_form(rng, genus, arf_value)
+            m = random_orthogonal(f, rng.getrandbits(32), 4 * genus).matrix
+            u, word = decompose(OrthogonalMap(f, m))
+            assert (u, recompose(f, u, word)) == (0, m)
+            r = rank(m ^ BitMatrix.identity(dim))
+            assert r <= len(word) <= 2 * r
+            assert len(word) % 2 == r % 2
+            flipped = BitMatrix(dim, dim, tuple(one_bit_flipped(rng, m.data)))
+            with pytest.raises(ValueError, match="^matrix does not preserve the quadratic form$"):
+                OrthogonalMap(f, flipped)
 
     def test_non_orthogonal_input_raises_value_error(self):
         """The restoration either returns or raises ValueError, also under -O.

@@ -33,6 +33,7 @@ from conftest import (
     nondegenerate_forms,
     rref,
     rref_solve,
+    same_symplectic_pairs,
     zero_diagonal_grams,
 )
 from test_acceptance import _isotropic_tuples, _span
@@ -121,17 +122,20 @@ class TestNondegenerate:
     def test_no_odd_dimension_candidate(self):
         """Every symmetric zero-diagonal Gram in dims 0-6 against the reference rank.
 
-        None is non-degenerate in odd dimension.
+        None is non-degenerate in odd dimension.  On all 33,868 the symplectic
+        basis is the reference projection's, or both raise "degenerate form".
         """
-        count = 0
+        count = total = 0
         for dim in range(7):
             for rows in zero_diagonal_grams(dim):
                 f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector.zero(dim))
                 expected = len(rref(rows, dim)[1]) == dim
                 assert is_nondegenerate(f) == expected
+                assert same_symplectic_pairs(f)
                 assert not (expected and dim % 2)
                 count += expected
-        assert count == 13918
+                total += 1
+        assert (count, total) == (13918, 33868)
 
     @settings(max_examples=40)
     @given(st.data())
@@ -149,6 +153,7 @@ class TestNondegenerate:
         assert not is_nondegenerate(f)
         with pytest.raises(ValueError, match="^degenerate form$"):
             symplectic_basis(f)
+        assert same_symplectic_pairs(f)
 
 
 class TestFormCaches:
@@ -210,12 +215,15 @@ class TestSymplecticBasis:
         assert sb.a_vectors == (BitVector.basis(2, 0),)
         assert sb.b_vectors == (BitVector.basis(2, 1),)
 
-    @given(nondegenerate_forms())
+    @given(nondegenerate_forms(max_genus=40))
     def test_relations_on_random_forms(self, f):
+        """Up to dim 80: the relations, and the reference projection's pairs."""
         check_symplectic(f, symplectic_basis(f))
+        assert same_symplectic_pairs(f)
 
-    @pytest.mark.parametrize("genus", [1, 2, 5, 13, 26, 38])
+    @pytest.mark.parametrize("genus", [1, 2, 4, 5, 8, 13, 26, 32, 33, 38])
     def test_relations_on_large_seeded_forms(self, genus):
+        """Seeded forms, the stride edges 8, 16, 64, 66 and 76 among them."""
         rng = random.Random(genus)
         dim = 2 * genus
         for arf_value in (0, 1):
@@ -229,6 +237,7 @@ class TestSymplecticBasis:
             sb = symplectic_basis(f)
             check_symplectic(f, sb)
             assert rank_rows(v.bits for v in sb.a_vectors + sb.b_vectors) == dim
+            assert same_symplectic_pairs(f)
 
     def test_degenerate_rejected(self):
         f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
