@@ -393,10 +393,10 @@ def _transpose_masks(n: int) -> list[tuple[int, int]]:
     bit s of i is bit s*n of p.  Round s moves the entries with bit s set in
     j and clear in i by s*(n - 1) bits, to (i + s, j - s).
     """
-    ones = (1 << (n * n)) - 1
-
-    def high_halves(s: int) -> int:  # bits p with p & s set: a repunit product
-        return ones // ((1 << (2 * s)) - 1) * ((1 << s) - 1) << s
+    def high_halves(s: int) -> int:  # bits p with p & s set: one period, repeated
+        width = max(2 * s, 8)  # the period in whole bytes: 0xaa, 0xcc, 0xf0, or s 0s and s 1s
+        period = sum(((1 << s) - 1) << (s + k) for k in range(0, width, 2 * s))
+        return int.from_bytes(period.to_bytes(width >> 3, "little") * (n * n // width), "little")
 
     sizes = [1 << e for e in range(n.bit_length() - 1)]
     return [(s * (n - 1), high_halves(s) & ~high_halves(s * n)) for s in sizes]

@@ -10,14 +10,14 @@ h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, BitVector, _product, _transpose, _Value
+from .gf2 import BitMatrix, BitVector, _product, _Value
 from .orthogroup import _swap_steps, rank_parity
 from .quadform import (
     QuadraticForm,
     _images,
+    _preserves,
     _pullback_bits,
     arf,
-    evaluate,
     standard_form,
     standard_gram,
 )
@@ -102,23 +102,6 @@ FLIP = Token("flip")
 UMAP = Token("umap")
 
 
-def good_map_type(s: SurfacePinkallForm, token: Token) -> int | None:
-    """Classify a twist-like token: 1 squared twist, 2 twist with g = 1,
-    3 twist along a null class; None when the twist is not form-preserving."""
-    if token.kind == "square":
-        return 1
-    if token.kind != "twist":
-        raise ValueError(f"not a twist token: {token.kind}")
-    c = token.vector
-    if c is None:
-        raise ValueError("twist token carries no vector")
-    if evaluate(s.form, c) == 1:
-        return 2
-    if c.is_zero():
-        return 3
-    return None
-
-
 def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
     """Left-to-right product of token actions; epsilon counts the flips.
 
@@ -150,18 +133,14 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
 
 
 def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
-    """Whether the class preserves the surface's quadratic form.
+    """Whether the class preserves the surface's quadratic form (_preserves).
 
-    The class preserves the intersection form, which is the form's Gram, so
-    by polarization it preserves g when g(h e_i) = g(e_i) for every i.
+    The class preserves the intersection form, the form's Gram, by
+    construction, so only the g half of the certificate can fail.
     """
-    m = h.action
-    if m.rows != s.form.dim:
+    if h.action.rows != s.form.dim:
         raise ValueError("dimension mismatch")
-    gram_g = _images(s.form)
-    gbits = s.form.basis_g.bits
-    return all(gram_g(col)[1] == (gbits >> i) & 1
-               for i, col in enumerate(_transpose(m.data, m.cols)))
+    return _preserves(s.form, h.action.data)
 
 
 def _parity(s: SurfacePinkallForm, h: MappingClass, not_member: ValueError) -> int:

@@ -192,33 +192,6 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
                            tuple(BitVector(f.dim, y) for _, y in pairs))
 
 
-def _complete_isotropic(f: QuadraticForm, abits: Sequence[int],
-                        agram: Sequence[int]) -> list[int]:
-    """Dual partners of an independent isotropic family, on packed vectors.
-
-    Given independent a_1..a_k with B(a_i,a_j) = 0 and their Gram images
-    G a_i, returns b_1..b_k with B(b_i,b_j) = 0 and B(a_i,b_j) = delta_ij.
-    One elimination of the rows G a_i with right-hand sides e_i (bit dim + i)
-    gives every c_j with B(a_i, c_j) = delta_ij.
-    """
-    k = len(abits)
-    rhs = [1 << (f.dim + i) for i in range(k)]
-    echelon = _echelon(g | r for g, r in zip(agram, rhs))
-    cs = [_solution(echelon, r) for r in rhs]
-    if None in cs:
-        raise ValueError("vectors are not independent")
-    gram_g = _images(f)
-    out = []
-    for i in range(k):
-        b = cs[i]
-        gc = gram_g(b)[0]
-        for m in range(i + 1, k):
-            if parity(cs[m] & gc):
-                b ^= abits[m]
-        out.append(b)
-    return out
-
-
 @lru_cache(maxsize=FORM_CACHE_SIZE)
 def arf(f: QuadraticForm) -> int:
     """Arf invariant: sum of g(a_i) g(b_i) over a symplectic basis."""
@@ -268,20 +241,21 @@ def standard_form(genus: int, arf_value: int) -> QuadraticForm:
 
 # -- searches ---------------------------------------------------------------
 
-def _find_flip(f: QuadraticForm, space_basis: Sequence[int]) -> int | None:
-    """Element of the span with g(k) = 1.
+def _find_flip(f: QuadraticForm, space_basis: Sequence[int], base: int = 0) -> int | None:
+    """Element of base + span with g = 1, base itself first when g(base) = 1.
 
-    g(k + k') = g(k) + g(k') + B(k, k'), so if every basis vector has g = 0
-    a witness, when one exists, is a pair with B = 1.
+    g(b + x + y) = g(b + x) + g(b + y) + g(b) + B(x, y), so if g vanishes
+    on base and on base plus each basis vector, a witness, when one exists,
+    is base plus a pair with B = 1.
     """
     gram_g = _images(f)
-    for k in space_basis:
-        if gram_g(k)[1]:
-            return k
+    for k in [0, *space_basis]:
+        if gram_g(base ^ k)[1]:
+            return base ^ k
     for i in range(len(space_basis)):
         for j in range(i + 1, len(space_basis)):
             if _bil_bits(f, space_basis[i], space_basis[j]):
-                return space_basis[i] ^ space_basis[j]
+                return base ^ space_basis[i] ^ space_basis[j]
     return None
 
 
@@ -293,9 +267,14 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     a2 must lie in the orthogonal complement of W = span(w_i) but outside W,
     with g = 1 and B(a1,a2) = 0.  No such c exists in dimension 2 with
     Arf 0, nor in dimension 4 with Arf 0 when k = 0 and a1 != a2; those
-    requests are rejected.  With w vectors, c is the solution with free
-    variables zero (see _solution) of the rows G w_i with right-hand side 0
-    and G a1, G a2 with right-hand side 1, plus w_1 if its g is 0.
+    requests are rejected.  The candidates are the solutions b + K of one
+    reduced system, the rows G w_i with right-hand side 0 and G a1, G a2
+    with right-hand side 1: consistent, as G is invertible and a1, a2 lie
+    outside W.  b has free variables zero (see _solution), and the kernel K
+    holds W.  c is the first element of the coset that _find_flip meets, with
+    w_1 searched first, so with w vectors c is b, or b + w_1 if g(b) = 0.
+    Were g zero on the whole coset, K would be totally isotropic, of
+    dimension at least dim - 2; so from dimension 6 on a connector exists.
     """
     _require_nondegenerate(f)
     dim = f.dim
@@ -332,25 +311,6 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
     rhs = 1 << dim
     gram_g = _images(f)
-    g1, g2 = gram_g(a1.bits)[0], gram_g(a2.bits)[0]
-    if ws:  # B(a1,c) = B(a2,c) = 1, B(w,c) = 0; solvable as G is invertible, a1, a2 not in W
-        b = _solution(_echelon([*(gram_g(w)[0] for w in wbits), g1 | rhs, g2 | rhs]), rhs)
-        return BitVector(dim, b if gram_g(b)[1] else b ^ wbits[0])
-
-    if a1 == a2:
-        b = _solution(_echelon([g1 | rhs]), rhs)
-        gb, gvalue = gram_g(b)
-        if gvalue:
-            return BitVector(dim, b)
-        perp_rows = (g1, gb)
-        base = b
-    else:
-        b1, b2 = _complete_isotropic(f, [a1.bits, a2.bits], [g1, g2])
-        base = b1 ^ b2
-        if gram_g(base)[1]:
-            return BitVector(dim, base)
-        perp_rows = (g1, g2, gram_g(b1)[0], gram_g(b2)[0])
-    d = _find_flip(f, _kernel(_echelon(perp_rows), dim))
-    if d is None:
-        raise ValueError("no connector exists for the given configuration")
-    return BitVector(dim, base ^ d)
+    system = _echelon([*(gram_g(w)[0] for w in wbits),
+                       gram_g(a1.bits)[0] | rhs, gram_g(a2.bits)[0] | rhs])
+    return BitVector(dim, _find_flip(f, [*wbits, *_kernel(system, dim)], _solution(system, rhs)))

@@ -17,6 +17,7 @@ from quadpoint.gf2 import (
     _product,
     _stride,
     _transpose,
+    _transpose_masks,
     _unpack,
     kernel_basis,
     multiply,
@@ -247,6 +248,20 @@ def test_transpose_edge_shapes(rows, cols):
     rng = random.Random(1000 * rows + cols)
     check_transpose([rng.getrandbits(cols) for _ in range(rows)], rows, cols)
     check_transpose([(1 << cols) - 1] * rows, rows, cols)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+def test_transpose_masks_match_repunit_division(n):
+    """Each round's masks, built from one repeated byte period, against the
+    repunit division that sets the bits p < n*n with p & s set."""
+    ones = (1 << (n * n)) - 1
+
+    def high_halves(s):
+        return ones // ((1 << (2 * s)) - 1) * ((1 << s) - 1) << s
+
+    sizes = [1 << e for e in range(n.bit_length() - 1)]
+    assert _transpose_masks(n) == [(s * (n - 1), high_halves(s) & ~high_halves(s * n))
+                                   for s in sizes]
 
 
 @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129])

@@ -18,7 +18,6 @@ from quadpoint.mcg import (
     equivalent_up_to_diffeomorphism,
     evaluate_word,
     genus1_generators,
-    good_map_type,
     in_orthogonal_mcg,
     mapping_class_parity,
     quadruple_point_invariant,
@@ -108,24 +107,6 @@ class TestDehnTwist:
         for v in all_vectors(2):
             h = evaluate_word(S10, [square(v)])
             assert h.action == I2 and h.epsilon == 0
-
-
-class TestGoodMapType:
-    def test_square(self):
-        assert good_map_type(S10, square(BitVector.zero(2))) == 1
-
-    def test_twist_g_one(self):
-        assert good_map_type(S10, twist(ML)) == 2
-
-    def test_twist_null(self):
-        assert good_map_type(S10, twist(BitVector.zero(2))) == 3
-
-    def test_twist_not_good(self):
-        assert good_map_type(S10, twist(BitVector.basis(2, 0))) is None
-
-    def test_rejects_other_tokens(self):
-        with pytest.raises(ValueError):
-            good_map_type(S10, FLIP)
 
 
 class TestEvaluateWord:

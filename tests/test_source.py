@@ -121,6 +121,32 @@ def _users(names):
             or (isinstance(node, ast.alias) and node.name in names)}
 
 
+def test_private_names_have_users():
+    """Every module-level private name (one leading underscore) of the package
+    is named somewhere other than its definition: nothing is kept that no
+    caller reaches."""
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, node.lineno, t.id)
+                            for t in targets if isinstance(t, ast.Name)]
+    named = set()
+    for _, node in _nodes():
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert not [f"{name}:{line} {ident}" for name, line, ident in defined
+                if ident.startswith("_") and not ident.startswith("__")
+                and ident not in named]
+
+
 def test_packed_block_stays_behind_gf2_and_orthogroup():
     """Only gf2 and orthogroup know the packed block; every other module
     turns a word into a matrix through gf2._product.  Only gf2 and quadform
