@@ -207,7 +207,8 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.rows:
         raise ValueError(
             f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return BitMatrix(a.rows, b.cols, tuple(_mul_rows(a.data, b.data)))
+    tables = _tables(b.data)
+    return BitMatrix(a.rows, b.cols, tuple(_lookup(tables, r) for r in a.data))
 
 
 # -- the packed-row kernel ---------------------------------------------------
@@ -250,12 +251,6 @@ def _lookup(tables: Sequence[Sequence[int]], bits: int) -> int:
     return acc
 
 
-def _mul_rows(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Rows of the product a . b, read from the byte tables of b."""
-    tables = _tables(b)
-    return [_lookup(tables, r) for r in a]
-
-
 # -- the packed block ----------------------------------------------------------
 #
 # A list of vectors as one int: vector k sits at bits k*stride and up, the
@@ -274,9 +269,10 @@ def _pack(rows: Iterable[int], stride: int) -> int:
 
 
 def _unpack(x: int, stride: int, count: int) -> list[int]:
-    """The first count vectors of a block."""
-    mask = (1 << stride) - 1
-    return [x >> (k * stride) & mask for k in range(count)]
+    """The first count vectors of a block, cut from one little-endian string."""
+    size = stride >> 3
+    data = (x & (1 << count * stride) - 1).to_bytes(count * size, "little")
+    return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
 
 
 def _identity_block(dim: int, stride: int) -> int:

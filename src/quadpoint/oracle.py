@@ -11,13 +11,30 @@ import random
 
 from .gf2 import BitMatrix, _product, _Value, parity, rank_rows
 from .orthogroup import OrthogonalMap, _check_dim, rank_parity
-from .quadform import (
-    QuadraticForm,
-    _bil_bits,
-    _evaluate_bits,
-    _images,
-    _require_nondegenerate,
-)
+from .quadform import QuadraticForm, _images, _require_nondegenerate
+
+
+def _evaluate_bits(f: QuadraticForm, vbits: int) -> int:
+    """g(v) by polarization over the set bits: the referee of _images."""
+    acc = parity(vbits & f.basis_g.bits)
+    rest = vbits
+    gram = f.gram.data
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        acc ^= parity(gram[i] & rest)
+    return acc
+
+
+def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
+    acc = 0
+    gram = f.gram.data
+    t = xbits
+    while t:
+        i = (t & -t).bit_length() - 1
+        t &= t - 1
+        acc ^= parity(gram[i] & ybits)
+    return acc
 
 
 def matrix_key(m: BitMatrix) -> str:

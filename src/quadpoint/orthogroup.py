@@ -31,12 +31,12 @@ from .gf2 import (
     _unpack,
     kernel_basis,
     multiply,
-    rank,
+    parity,
+    rank_rows,
 )
 from .quadform import (
     FORM_CACHE_SIZE,
     QuadraticForm,
-    _bil_bits,
     _find_flip,
     _images,
     _preserves,
@@ -94,7 +94,7 @@ def rank_parity(t: OrthogonalMap | BitMatrix) -> int:
     m = t.matrix if isinstance(t, OrthogonalMap) else t
     if not m.is_square():
         raise ValueError("square matrix required")
-    return rank(m ^ BitMatrix.identity(m.rows)) & 1
+    return rank_rows(r ^ 1 << i for i, r in enumerate(m.data)) & 1
 
 
 def fixed_space(t: OrthogonalMap) -> list[BitVector]:
@@ -127,8 +127,8 @@ def umap_partition(f: QuadraticForm) -> UMapPartition:
     gram_g = _images(f)
     ones = [BitVector(4, v) for v in range(1, 16) if gram_g(v)[1]]
     ones.sort(key=BitVector.to01)
-    first = ones[0]
-    part1 = frozenset(v for v in ones if v == first or _bil_bits(f, first.bits, v.bits))
+    first, gfirst = ones[0], gram_g(ones[0].bits)[0]
+    part1 = frozenset(v for v in ones if v == first or parity(v.bits & gfirst))
     part2 = frozenset(v for v in ones if v not in part1)
     return UMapPartition(part1, part2)
 

@@ -17,11 +17,9 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     _Value,
-    _combine,
     _echelon,
     _kernel,
     _lookup,
-    _mul_rows,
     _solution,
     _symplectic_pairs,
     _tables,
@@ -52,7 +50,7 @@ class QuadraticForm(_Value):
         for i, row in enumerate(gram.data):
             if (row >> i) & 1:
                 raise ValueError(f"Gram diagonal must vanish (row {i})")
-        if gram.data != gram.transpose().data:
+        if _transpose(gram.data, dim) != list(gram.data):
             raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", gram)
@@ -71,29 +69,6 @@ class SymplecticBasis(_Value):
 
 # -- bit-level helpers shared inside the package ---------------------------
 
-def _evaluate_bits(f: QuadraticForm, vbits: int) -> int:
-    """g(v) by polarization over the set bits: the referee of _images."""
-    acc = parity(vbits & f.basis_g.bits)
-    rest = vbits
-    gram = f.gram.data
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        acc ^= parity(gram[i] & rest)
-    return acc
-
-
-def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
-    acc = 0
-    gram = f.gram.data
-    t = xbits
-    while t:
-        i = (t & -t).bit_length() - 1
-        t &= t - 1
-        acc ^= parity(gram[i] & ybits)
-    return acc
-
-
 @lru_cache(maxsize=1)
 def _images(f: QuadraticForm):
     """The map v -> (G v, g(v)) of the form, one byte-table pass per vector.
@@ -102,8 +77,10 @@ def _images(f: QuadraticForm):
     strict upper triangle U of the Gram.  The rows that v picks sum to
     G v | (U^T v) << dim: the Gram is symmetric, so bit j of G v is
     B(e_j, v) and B(x, v) is parity(x & G v) for every x; and g(v) is
-    v^T U v + parity(v & basis_g).  Each workload meets one form at a time,
-    so one form's tables are kept.
+    v^T U v + parity(v & basis_g).  One form's tables are kept: a workload
+    meets one form at a time, and q meets two, the surface's and the
+    intersection form, whose tables cost tens of microseconds to rebuild at
+    dimension 16.
     """
     dim = f.dim
     mask = (1 << dim) - 1
@@ -120,30 +97,22 @@ def _images(f: QuadraticForm):
 def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Gram rows and basis values of x -> g(m x), for square m given by its rows.
 
-    With U the strict upper triangle of the Gram, gram = U + U^T and
-    g(v) = v^T U v + parity(v & basis_g).  So X = m^T U m gives the Gram
-    m^T gram m = X + X^T, and g(m e_i) = X_ii + (basis_g^T m)_i.
+    One _images lookup per column c_i = m e_i gives G c_i and g(c_i); row i
+    of m^T gram m is m^T (G c_i), read from the byte tables of m's rows.
     """
-    dim = f.dim
-    upper = [r >> (i + 1) << (i + 1) for i, r in enumerate(f.gram.data)]
-    x = _mul_rows(_transpose(rows, dim), _mul_rows(upper, rows))
-    diagonal = sum(r & (1 << i) for i, r in enumerate(x))
-    gram = tuple(a ^ b for a, b in zip(x, _transpose(x, dim)))
-    return gram, diagonal ^ _combine(rows, f.basis_g.bits)
+    gram_g, tables = _images(f), _tables(rows)
+    images = [gram_g(c) for c in _transpose(rows, f.dim)]
+    return (tuple(_lookup(tables, gc) for gc, _ in images),
+            sum(g << i for i, (_, g) in enumerate(images)))
 
 
 def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
     """Whether m^T gram m = gram and g(m e_i) = g(e_i) for every i.
 
-    One _images lookup per column c_i = m e_i gives G c_i and g(c_i); column
-    i of m^T gram m is m^T (G c_i), read from the byte tables of m's rows.
     By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
     form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
     """
-    gram_g, tables = _images(f), _tables(rows)
-    images = (gram_g(c) for c in _transpose(rows, f.dim))
-    return all(g == f.basis_g.bits >> i & 1 and _lookup(tables, gc) == row
-               for i, ((gc, g), row) in enumerate(zip(images, f.gram.data)))
+    return _pullback_bits(f, rows) == (f.gram.data, f.basis_g.bits)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -156,10 +125,10 @@ def evaluate(f: QuadraticForm, v: BitVector) -> int:
 
 
 def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
-    """B(x, y) = x^T . gram . y."""
+    """B(x, y) = parity(x & G y), G y from the form's byte tables."""
     if x.length != f.dim or y.length != f.dim:
         raise ValueError("length mismatch")
-    return _bil_bits(f, x.bits, y.bits)
+    return parity(x.bits & _images(f)(y.bits)[0])
 
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)
@@ -252,10 +221,11 @@ def _find_flip(f: QuadraticForm, space_basis: Sequence[int], base: int = 0) -> i
     for k in [0, *space_basis]:
         if gram_g(base ^ k)[1]:
             return base ^ k
-    for i in range(len(space_basis)):
+    images = [gram_g(y)[0] for y in space_basis]
+    for i, x in enumerate(space_basis):
         for j in range(i + 1, len(space_basis)):
-            if _bil_bits(f, space_basis[i], space_basis[j]):
-                return base ^ space_basis[i] ^ space_basis[j]
+            if parity(x & images[j]):
+                return base ^ x ^ space_basis[j]
     return None
 
 

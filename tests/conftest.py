@@ -10,10 +10,10 @@ from hypothesis import settings, strategies as st
 
 import quadpoint
 from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply, parity
+from quadpoint.oracle import _evaluate_bits
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import (
     QuadraticForm,
-    _evaluate_bits,
     arf,
     is_nondegenerate,
     pullback,

@@ -12,7 +12,6 @@ from quadpoint.gf2 import (
     _echelon,
     _kernel,
     _matvec,
-    _mul_rows,
     _pack,
     _product,
     _stride,
@@ -264,9 +263,12 @@ def test_transpose_masks_match_repunit_division(n):
                                    for s in sizes]
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129,
+                                   255, 256, 257, 1024, 2047, 2048])
 def test_pack_round_trip(width):
-    """Vector k of a block sits at bits k*stride and up, and unpacks unchanged."""
+    """Vector k of a block sits at bits k*stride and up, and unpacks unchanged;
+    unpacking the first vectors of a longer block, as _transpose does, gives
+    the shift formula's vectors."""
     rng = random.Random(width)
     n = _stride(width)
     assert n >= max(8, width) and n & (n - 1) == 0
@@ -276,17 +278,21 @@ def test_pack_round_trip(width):
         assert x >> (count * n) == 0
         assert [(x >> (k * n)) & ((1 << n) - 1) for k in range(count)] == rows
         assert _unpack(x, n, count) == rows
+        for fewer in (0, count // 2, max(count - 1, 0)):
+            assert _unpack(x, n, fewer) == [(x >> (k * n)) & ((1 << n) - 1)
+                                            for k in range(fewer)]
 
 
 @pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 65])
 def test_table_product_matches_the_entrywise_product(inner):
-    """_mul_rows on full and partial byte tables of b against the product
+    """multiply on full and partial byte tables of b against the product
     entry by entry."""
     rng = random.Random(inner)
     for rows, cols in ((0, 5), (1, 9), (6, 70), (inner, inner)):
         a = [rng.getrandbits(inner) for _ in range(rows)] + [(1 << inner) - 1]
         b = [rng.getrandbits(cols) for _ in range(inner)]
-        assert _mul_rows(a, b) == bit_product(a, b, cols)
+        product = multiply(BitMatrix(len(a), inner, a), BitMatrix(inner, cols, b))
+        assert list(product.data) == bit_product(a, b, cols)
 
 
 @pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 16, 17, 64, 65])

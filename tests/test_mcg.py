@@ -25,9 +25,9 @@ from quadpoint.mcg import (
     square,
     twist,
 )
-from quadpoint.oracle import filter_full_linear_group
+from quadpoint.oracle import _bil_bits, filter_full_linear_group
 from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
-from quadpoint.quadform import _bil_bits, arf, direct_sum, evaluate, standard_form
+from quadpoint.quadform import arf, direct_sum, evaluate, standard_form
 
 from conftest import all_vectors, bit_product
 

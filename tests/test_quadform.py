@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply, rank_rows
+from quadpoint.oracle import _bil_bits, _evaluate_bits
 from quadpoint.quadform import (
     QuadraticForm,
     SymplecticBasis,
-    _evaluate_bits,
     _images,
     arf,
     bilinear,
@@ -174,8 +174,9 @@ class TestFormCaches:
 @settings(max_examples=60)
 @given(st.data())
 def test_gram_image_is_the_matvec(data):
-    """G v from the form's byte tables equals the row-by-row product, and g(v)
-    from the same pass equals the polarization referee."""
+    """G v from the form's byte tables equals the row-by-row product, g(v)
+    from the same pass equals the polarization referee, and B(x, v) read off
+    G v equals the referee's bilinear loop."""
     dim = data.draw(st.integers(0, 80))
     rows = [0] * dim
     for i in range(dim):
@@ -187,7 +188,9 @@ def test_gram_image_is_the_matvec(data):
     gbits = data.draw(st.integers(0, (1 << dim) - 1))
     f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector(dim, gbits))
     v = data.draw(st.integers(0, (1 << dim) - 1))
+    x = data.draw(st.integers(0, (1 << dim) - 1))
     assert _images(f)(v) == (_matvec(f.gram.data, v), _evaluate_bits(f, v))
+    assert bilinear(f, BitVector(dim, x), BitVector(dim, v)) == _bil_bits(f, x, v)
 
 
 def check_symplectic(f, sb: SymplecticBasis):
@@ -468,11 +471,11 @@ class TestPullback:
         p = BitMatrix(dim, dim, tuple(
             data.draw(st.integers(0, (1 << dim) - 1)) for _ in range(dim)))
         g = pullback(f, p)
-        columns = [p.column(i) for i in range(dim)]
+        columns = [p.column(i).bits for i in range(dim)]
         assert g.gram.data == tuple(
-            sum(bilinear(f, ci, cj) << j for j, cj in enumerate(columns))
+            sum(_bil_bits(f, ci, cj) << j for j, cj in enumerate(columns))
             for ci in columns)
-        assert g.basis_g.bits == sum(evaluate(f, c) << i for i, c in enumerate(columns))
+        assert g.basis_g.bits == sum(_evaluate_bits(f, c) << i for i, c in enumerate(columns))
 
     @given(nondegenerate_forms(max_genus=2), st.data())
     def test_matches_pointwise(self, f, data):

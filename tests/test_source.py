@@ -150,7 +150,9 @@ def test_private_names_have_users():
 def test_packed_block_stays_behind_gf2_and_orthogroup():
     """Only gf2 and orthogroup know the packed block; every other module
     turns a word into a matrix through gf2._product.  Only gf2 and quadform
-    multiply rows by byte tables."""
+    multiply rows by byte tables, and only the oracle referee evaluates g and
+    B by its own polarization loops."""
     block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block"}
     assert _users(block) <= {"gf2.py", "orthogroup.py"}
-    assert _users({"_mul_rows"}) <= {"gf2.py", "quadform.py"}
+    assert _users({"_tables", "_lookup"}) <= {"gf2.py", "quadform.py"}
+    assert _users({"_bil_bits", "_evaluate_bits"}) <= {"oracle.py"}
