@@ -254,12 +254,15 @@ def _lookup(tables: Sequence[Sequence[int]], bits: int) -> int:
 # -- the packed block ----------------------------------------------------------
 #
 # A list of vectors as one int: vector k sits at bits k*stride and up, the
-# stride a power of two, at least 8 (so that vectors are whole bytes) and at
-# least the vectors' width.
+# stride a power of two or three times one, at least 8 (so that vectors are
+# whole bytes) and at least the vectors' width.
 
 def _stride(width: int) -> int:
-    """The block stride for vectors of the given width."""
-    return max(8, 1 << (width - 1).bit_length())
+    """The block stride for vectors of the given width: the least of 8, 16,
+    24, 32, 48, 64, 96, ... (2^k or 3 * 2^k, whole bytes) that is >= width,
+    so that widths 65 to 96 take 96-bit slots, not 128."""
+    n = max(8, 1 << (width - 1).bit_length())
+    return n // 4 * 3 if n >= 32 and n // 4 * 3 >= width else n
 
 
 def _pack(rows: Iterable[int], stride: int) -> int:
@@ -289,13 +292,17 @@ def _ones(stride: int, count: int) -> int:
 def _parities(x: int, stride: int, count: int) -> int:
     """The block whose vector k is the parity of vector k of x, at its bit 0.
 
-    Folding x ^= x >> s for s = stride/2, ..., 1 leaves each slot's parity at
-    its bit 0, as the low half of a slot never reads the slot above.
+    Folding x ^= x >> s for s = stride/2, stride/4, ... down to the odd part
+    of the stride (1, or 3 for a stride 3 * 2^k) leaves the parity of each
+    slot in its lowest s bits, as the low half of a slot never reads the slot
+    above; three bits end with x ^= x >> 1 ^ x >> 2.
     """
-    s = stride >> 1
-    while s:
-        x ^= x >> s
+    s = stride
+    while not s & 1:
         s >>= 1
+        x ^= x >> s
+    if s == 3:
+        x ^= x >> 1 ^ x >> 2
     return x & _ones(stride, count)
 
 
@@ -316,14 +323,15 @@ def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
     step (sel, add), the first step applied first.
 
     The product is kept as a block of columns, on which each step is one
-    _flip, and transposed back to rows once at the end.  The transvection
-    along c is the step (G c, c).
+    _flip, and turned back into rows once at the end by _transpose, whose
+    block alone keeps a power-of-two stride.  The transvection along c is
+    the step (G c, c).
     """
     stride = _stride(dim)
     cols = _identity_block(dim, stride)
     for sel, add in steps:
         cols = _flip(cols, sel, add, stride, dim)
-    return _unpack(_transpose_block(cols, stride), stride, dim)
+    return _transpose(_unpack(cols, stride, dim), dim)
 
 
 def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
@@ -365,7 +373,7 @@ def _transpose(data: Sequence[int], cols: int) -> list[int]:
     """Rows of the transpose of a matrix with the given rows and width."""
     if not data or not cols:
         return [0] * cols
-    n = _stride(max(len(data), cols))
+    n = max(8, 1 << (max(len(data), cols) - 1).bit_length())  # as _transpose_block needs
     return _unpack(_transpose_block(_pack(data, n), n), n, cols)
 
 

@@ -173,8 +173,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     g((T + I)v) = q(v).  If q(v) = 1, then w = (T + I)v has g(w) = 1, the
     transvection along w sends Tv to v, and B(x, w) = 0 for every x that T
     fixes; so t_w T fixes v and Fix(T), and rank(T + I) drops by exactly
-    one.  v is the first e_i with q(e_i) = B(T e_i, e_i) = 1, read for all i
-    at once off the Gram images of the columns of T, else the first
+    one.  v is the first e_i with q(e_i) = B(T e_i, e_i) = 1, else the first
     e_i + e_j with B(T e_i, e_j) + B(T e_j, e_i) = 1.
 
     Dead end: q = 0 everywhere.  Then W = im(T + I) is totally singular, so
@@ -189,12 +188,27 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
 
     So the word has rank(m + I) letters plus 2 per dead end.  Dead ends come
     at strictly decreasing even ranks: at most 2 rank(m + I) <= 2 dim
-    letters.  A map that does not preserve g is rejected with ValueError,
-    at the latest past 2 dim pushes.  The columns of the current map are one
-    block, cols, carried with gcols = G cols, so q(e_i) is bit i of slot i of
-    gcols.  A push of w folds once, p = B(T e_j, w) for all j, and adds p w
-    to cols and p G w to gcols.  The returned word is in application order:
-    composing its transvections, first entry first, reproduces m.
+    letters.
+
+    Two column blocks are carried: W = T + I, whose slot j is (T + I)e_j
+    (the slots span the image W above), and H = G W, whose slot j is
+    G (T + I)e_j, so that bit i of it is B(e_i, (T + I)e_j).  The loop
+    ends when W = 0.  As T preserves B,
+    B(T e_j, (T + I)e_i) = B(e_j, e_i) + B(T e_j, e_i) = B((T + I)e_j, e_i):
+    the coefficients p_j = B(T e_j, w) of a push along w = W e_i are bit i
+    of every slot of H, with no parity fold, and the push adds p w to W and
+    p G w = p (slot i of H) to H.  B(T e_j, e_j) = B((T + I)e_j, e_j), so
+    q(e_j) is bit j of slot j of H; and in H + H^T, where the symmetric G
+    cancels, entry (i, j) is B(T e_i, e_j) + B(T e_j, e_i), so the step along
+    e_i + e_j reads its p off bits i and j of H.  Only the escape, whose
+    vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w).
+
+    Reading p off H assumes an orthogonal m, as decompose's OrthogonalMap
+    certifies.  The lookups that fill H also give g((T + I)e_j), equal to
+    q(e_j) when g(T e_j) = g(e_j); if not, m is not orthogonal and every
+    push folds.  On other input than an orthogonal map the function returns
+    some word or raises ValueError, after at most 2 dim pushes.  The word is
+    in application order: its transvections, first entry first, compose to m.
     """
     dim = f.dim
     gram_g = _images(f)
@@ -203,49 +217,54 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     ones = _ones(stride, dim)
     diagonal = ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
     identity = _identity_block(dim, stride)
-    columns = _transpose(m.data, dim)
-    cols = _pack(columns, stride)
-    gcols = _pack([gram_g(c)[0] for c in columns], stride)
+    wcols = [c ^ 1 << j for j, c in enumerate(_transpose(m.data, dim))]
+    images = [gram_g(w) for w in wcols]
+    w_block = _pack(wcols, stride)
+    h_block = _pack([gw for gw, _ in images], stride)
+    read = all(g == gw >> j & 1 for j, (gw, g) in enumerate(images))
     applied: list[int] = []
 
-    def push(w: int) -> None:
-        nonlocal cols, gcols
-        gw = gram_g(w)[0]
-        p = _parities(cols & gw * ones, stride, dim)
-        cols ^= p * w
-        gcols ^= p * gw
+    def push(w: int, gw: int, p: int | None = None) -> None:
+        nonlocal w_block, h_block
+        if p is None or not read:
+            p = _parities((w_block ^ identity) & gw * ones, stride, dim)
+        w_block ^= p * w
+        h_block ^= p * gw
         applied.append(w)
 
-    while cols != identity:
+    while w_block:
         if len(applied) >= 2 * dim:
             raise ValueError("restoration failed to reach the identity")
-        q = gcols & diagonal
+        q = h_block & diagonal
         if q:
             i = ((q & -q).bit_length() - 1) // stride
-            push(cols >> (i * stride) & mask ^ 1 << i)
+            push(w_block >> i * stride & mask, h_block >> i * stride & mask,
+                 h_block >> i & ones)
             continue
-        columns = _unpack(cols, stride, dim)
-        images = _unpack(gcols, stride, dim)  # row i: B(T e_i, e_j) at bit j
-        beta = [r ^ s for r, s in zip(images, _transpose(images, dim))]
+        hcols = _unpack(h_block, stride, dim)  # row i: B(e_j, (T + I)e_i) at bit j
+        beta = [r ^ s for r, s in zip(hcols, _transpose(hcols, dim))]
         i = next((i for i, r in enumerate(beta) if r), None)
         if i is not None:
-            v = 1 << i | beta[i] & -beta[i]
-            push(_combine(columns, v) ^ v)
+            j = (beta[i] & -beta[i]).bit_length() - 1
+            push((w_block >> i * stride ^ w_block >> j * stride) & mask,
+                 hcols[i] ^ hcols[j], (h_block >> i ^ h_block >> j) & ones)
             continue
-        fixed = _kernel(_echelon(r ^ 1 << k for k, r in enumerate(_transpose(columns, dim))), dim)
+        wcols = _unpack(w_block, stride, dim)
+        fixed = _kernel(_echelon(_transpose(wcols, dim)), dim)
         c = _find_flip(f, fixed) or _find_flip(f, [1 << k for k in range(dim)])
-        tc = _combine(columns, c) ^ c
+        tc = _combine(wcols, c)
         rhs = 1 << dim
         system = _echelon([gram_g(c)[0] | rhs, gram_g(tc)[0]])
         s0 = _solution(system, rhs)
         # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c
         v = None if s0 is None else next(
             (x for x in (s0 ^ k for k in [0, *_kernel(system, dim)])
-             if _combine(columns, x) ^ x not in (0, tc)), None)
+             if _combine(wcols, x) not in (0, tc)), None)
         if v is None:
             raise ValueError("restoration found no escape from a dead end")
-        push(c)
-        push(_combine(columns, v) ^ v ^ c)
+        push(c, gram_g(c)[0])
+        w = _combine(wcols, v) ^ c
+        push(w, gram_g(w)[0])
     return [BitVector(dim, c) for c in reversed(applied)]
 
 

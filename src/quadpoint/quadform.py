@@ -132,16 +132,26 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
 
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)
-def is_nondegenerate(f: QuadraticForm) -> bool:
+def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...] | None:
+    """The greedy symplectic pairs of a Gram matrix, or None if it is
+    degenerate: non-degeneracy's certificate, cached per Gram, not per form."""
     try:
-        _require_nondegenerate(f)
+        return tuple(_symplectic_pairs(gram.data))
     except ValueError:
-        return False
-    return True
+        return None
 
 
-def _require_nondegenerate(f: QuadraticForm) -> None:
-    symplectic_basis(f)  # raises ValueError("degenerate form") if there is none
+@lru_cache(maxsize=FORM_CACHE_SIZE)
+def is_nondegenerate(f: QuadraticForm) -> bool:
+    return _gram_pairs(f.gram) is not None
+
+
+def _require_nondegenerate(f: QuadraticForm) -> tuple[tuple[int, int], ...]:
+    """The symplectic pairs of f's Gram, or ValueError("degenerate form")."""
+    pairs = _gram_pairs(f.gram)
+    if pairs is None:
+        raise ValueError("degenerate form")
+    return pairs
 
 
 # -- structure --------------------------------------------------------------
@@ -153,10 +163,10 @@ def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
     Repeatedly takes the first remaining vector x, the first partner y
     with B(x,y) = 1, and projects the rest to the orthogonal complement of
     the pair, on their Gram block updated by congruence, so that no B is
-    recomputed (gf2._symplectic_pairs).  An x with no partner lies in the
-    radical: ValueError("degenerate form").
+    recomputed (gf2._symplectic_pairs, read through _gram_pairs).  An x with
+    no partner lies in the radical: ValueError("degenerate form").
     """
-    pairs = _symplectic_pairs(f.gram.data)
+    pairs = _require_nondegenerate(f)
     return SymplecticBasis(tuple(BitVector(f.dim, x) for x, _ in pairs),
                            tuple(BitVector(f.dim, y) for _, y in pairs))
 

@@ -9,11 +9,30 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import quadpoint
-from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply, parity
+from quadpoint.gf2 import (
+    BitMatrix,
+    BitVector,
+    _combine,
+    _echelon,
+    _identity_block,
+    _kernel,
+    _matvec,
+    _ones,
+    _pack,
+    _parities,
+    _solution,
+    _stride,
+    _transpose,
+    _unpack,
+    multiply,
+    parity,
+)
 from quadpoint.oracle import _evaluate_bits
 from quadpoint.orthogroup import enumerate_group
 from quadpoint.quadform import (
     QuadraticForm,
+    _find_flip,
+    _images,
     arf,
     is_nondegenerate,
     pullback,
@@ -161,6 +180,95 @@ def same_symplectic_pairs(f):
     except ValueError as exc:
         return str(exc) == expected == "degenerate form"
     return [(a.bits, b.bits) for a, b in zip(sb.a_vectors, sb.b_vectors)] == expected
+
+
+# -- reference restoration ------------------------------------------------------
+#
+# The restoration as it was before it carried G (T + I): the column block of
+# T with its Gram images G T beside it, and one parity fold per push.  The
+# words of orthogroup._restoration_word are checked against it.
+
+def fold_restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
+    """Transvection word carrying m back to the identity, one rank at a time.
+
+    Step: for the current map T let q(v) = B(Tv, v).  As g(Tv) = g(v),
+    g((T + I)v) = q(v).  If q(v) = 1, then w = (T + I)v has g(w) = 1, the
+    transvection along w sends Tv to v, and B(x, w) = 0 for every x that T
+    fixes; so t_w T fixes v and Fix(T), and rank(T + I) drops by exactly
+    one.  v is the first e_i with q(e_i) = B(T e_i, e_i) = 1, read for all i
+    at once off the Gram images of the columns of T, else the first
+    e_i + e_j with B(T e_i, e_j) + B(T e_j, e_i) = 1.
+
+    Dead end: q = 0 everywhere.  Then W = im(T + I) is totally singular, so
+    W lies in W^perp = Fix(T), T is an involution and dim W is even.  The
+    escape takes c with g(c) = 1 in Fix(T), or anywhere when Fix(T) = W is
+    Lagrangian, and v outside span(Fix(T), c) with B(v, c) = 1 and
+    B(v, (T + I)c) = 0.  It pushes c, then (T + I)v + c, the step of t_c T
+    at v (B(Tv, c) = B(v, Tc) = 1).  The map left fixes v and the x in
+    Fix(T) with B(x, c) = 0, so its rank is dim W again; its image, the
+    vectors of W + <c> orthogonal to v, holds a g = 1 vector, so the next
+    move is a step again.
+
+    So the word has rank(m + I) letters plus 2 per dead end.  Dead ends come
+    at strictly decreasing even ranks: at most 2 rank(m + I) <= 2 dim
+    letters.  A map that does not preserve g is rejected with ValueError,
+    at the latest past 2 dim pushes.  The columns of the current map are one
+    block, cols, carried with gcols = G cols, so q(e_i) is bit i of slot i of
+    gcols.  A push of w folds once, p = B(T e_j, w) for all j, and adds p w
+    to cols and p G w to gcols.  The returned word is in application order:
+    composing its transvections, first entry first, reproduces m.
+    """
+    dim = f.dim
+    gram_g = _images(f)
+    stride = _stride(dim)
+    mask = (1 << dim) - 1
+    ones = _ones(stride, dim)
+    diagonal = ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
+    identity = _identity_block(dim, stride)
+    columns = _transpose(m.data, dim)
+    cols = _pack(columns, stride)
+    gcols = _pack([gram_g(c)[0] for c in columns], stride)
+    applied: list[int] = []
+
+    def push(w: int) -> None:
+        nonlocal cols, gcols
+        gw = gram_g(w)[0]
+        p = _parities(cols & gw * ones, stride, dim)
+        cols ^= p * w
+        gcols ^= p * gw
+        applied.append(w)
+
+    while cols != identity:
+        if len(applied) >= 2 * dim:
+            raise ValueError("restoration failed to reach the identity")
+        q = gcols & diagonal
+        if q:
+            i = ((q & -q).bit_length() - 1) // stride
+            push(cols >> (i * stride) & mask ^ 1 << i)
+            continue
+        columns = _unpack(cols, stride, dim)
+        images = _unpack(gcols, stride, dim)  # row i: B(T e_i, e_j) at bit j
+        beta = [r ^ s for r, s in zip(images, _transpose(images, dim))]
+        i = next((i for i, r in enumerate(beta) if r), None)
+        if i is not None:
+            v = 1 << i | beta[i] & -beta[i]
+            push(_combine(columns, v) ^ v)
+            continue
+        fixed = _kernel(_echelon(r ^ 1 << k for k, r in enumerate(_transpose(columns, dim))), dim)
+        c = _find_flip(f, fixed) or _find_flip(f, [1 << k for k in range(dim)])
+        tc = _combine(columns, c) ^ c
+        rhs = 1 << dim
+        system = _echelon([gram_g(c)[0] | rhs, gram_g(tc)[0]])
+        s0 = _solution(system, rhs)
+        # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c
+        v = None if s0 is None else next(
+            (x for x in (s0 ^ k for k in [0, *_kernel(system, dim)])
+             if _combine(columns, x) ^ x not in (0, tc)), None)
+        if v is None:
+            raise ValueError("restoration found no escape from a dead end")
+        push(c)
+        push(_combine(columns, v) ^ v ^ c)
+    return [BitVector(dim, c) for c in reversed(applied)]
 
 
 def eliminated_connector(f, ws, a1, a2):

@@ -13,6 +13,7 @@ from quadpoint.gf2 import (
     _kernel,
     _matvec,
     _pack,
+    _parities,
     _product,
     _stride,
     _transpose,
@@ -263,15 +264,16 @@ def test_transpose_masks_match_repunit_division(n):
                                    for s in sizes]
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129,
-                                   255, 256, 257, 1024, 2047, 2048])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 24, 25, 48, 49, 63, 64, 65, 76, 96, 97,
+                                   128, 129, 192, 193, 255, 256, 257, 1024, 2047, 2048])
 def test_pack_round_trip(width):
-    """Vector k of a block sits at bits k*stride and up, and unpacks unchanged;
-    unpacking the first vectors of a longer block, as _transpose does, gives
-    the shift formula's vectors."""
+    """The stride is the least 2^k or 3 * 2^k, in whole bytes, that is at
+    least max(8, width).  Vector k of a block sits at bits k*stride and up,
+    and unpacks unchanged; unpacking the first vectors of a longer block, as
+    _transpose does, gives the shift formula's vectors."""
     rng = random.Random(width)
     n = _stride(width)
-    assert n >= max(8, width) and n & (n - 1) == 0
+    assert n == min(s for k in range(3, 13) for s in (1 << k, 3 << k) if s >= max(8, width))
     for count in (0, 1, 9, width):
         rows = [rng.getrandbits(width) for _ in range(count)]
         x = _pack(rows, n)
@@ -281,6 +283,18 @@ def test_pack_round_trip(width):
         for fewer in (0, count // 2, max(count - 1, 0)):
             assert _unpack(x, n, fewer) == [(x >> (k * n)) & ((1 << n) - 1)
                                             for k in range(fewer)]
+
+
+@pytest.mark.parametrize("stride", [8, 16, 24, 32, 48, 64, 96, 128, 192])
+def test_parities_is_the_parity_of_each_slot(stride):
+    """_parities puts each slot's bit_count() & 1 at its bit 0, at power-of-two
+    strides and at three times a power of two, whose fold ends on three bits."""
+    rng = random.Random(stride)
+    for count in (0, 1, stride):
+        rows = [rng.getrandbits(stride) for _ in range(count - 1)]
+        rows += [(1 << stride) - 1] * (count > 0)
+        got = _unpack(_parities(_pack(rows, stride), stride, count), stride, count)
+        assert got == [r.bit_count() & 1 for r in rows]
 
 
 @pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 65])

@@ -62,6 +62,7 @@ from conftest import (
     bit_matrices,
     bit_product,
     dim4_arf0_forms,
+    fold_restoration_word,
     nondegenerate_forms,
     random_gram,
     rref_inverse,
@@ -215,7 +216,8 @@ def test_rank_one_update_is_the_transvection_product(data):
     assert transvection_matrix(f, BitVector(dim, c)).data == tuple(t)
 
 
-@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 63, 64, 65, 76, 128, 129])
+@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 24, 25, 48, 49, 63, 64, 65, 76, 96, 97,
+                                 128, 129, 192, 193])
 def test_flip_is_the_transvection_on_every_column(dim):
     """_flip with sel = G c and add = c maps each vector x of a block to
     x + B(x,c) c, with B from _bil_bits; edge widths of every stride."""
@@ -443,7 +445,7 @@ class TestDecompose:
         r = rank(recompose(f, 0, word) ^ BitMatrix.identity(f.dim))
         assert r <= len(word) <= 2 * r
 
-    @pytest.mark.parametrize("dim", [16, 62, 64, 66, 76])
+    @pytest.mark.parametrize("dim", [16, 48, 50, 62, 64, 66, 76, 96, 98])
     def test_round_trip_at_stride_edges(self, dim):
         """Seeded forms of both Arf values and words of 4 genus transvections:
         certify, decompose and recompose; rank <= |word| <= 2 rank; and a
@@ -487,6 +489,22 @@ class TestDecompose:
                     outcomes[key[str(exc)]] += 1
         assert sum(outcomes.values()) == 2700
         assert outcomes["capped"] > 0
+
+
+@pytest.mark.parametrize("dim", [8, 16, 24, 26, 48, 50, 64, 66, 96, 98])
+def test_restoration_matches_the_fold_referee(dim):
+    """The restoration, which reads every step off the carried G (T + I),
+    gives the word of the referee that folds B(T e_j, w) once per push: on
+    seeded forms of both Arf values at the stride edges, for maps of 128
+    transvections, as the benchmark draws them, and of an odd number."""
+    rng = random.Random(dim)
+    for arf_value in (0, 1):
+        f = seeded_form(rng, dim // 2, arf_value)
+        for length in (128, 2 * dim + 1):
+            m = random_orthogonal(f, rng.getrandbits(32), length).matrix
+            word = _restoration_word(f, m)
+            assert word == fold_restoration_word(f, m)
+            assert recompose(f, 0, word) == m
 
 
 # -- word length against a breadth-first search ---------------------------------
@@ -558,7 +576,9 @@ def test_rank_two_dead_ends_take_four_letters(arf_value, count):
                 or any(_bil_bits(f, c, d) for c in cols for d in cols):
             continue
         found += 1
-        word = _restoration_word(f, BitMatrix(6, 6, rows))
+        m = BitMatrix(6, 6, rows)
+        word = _restoration_word(f, m)
+        assert word == fold_restoration_word(f, m)
         assert recompose(f, 0, word).data == tuple(rows)
         assert len(word) == minimum == 4
     assert found == count
@@ -591,6 +611,7 @@ def test_lagrangian_dead_ends(genus):
         assert rank_rows(cols) == genus
         assert not any(_evaluate_bits(f, c) for c in cols)
         u, word = decompose(OrthogonalMap(f, m))
+        assert word == fold_restoration_word(f, m)
         assert recompose(f, u, word) == m
         assert genus <= len(word) <= 2 * genus
 

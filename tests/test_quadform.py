@@ -10,6 +10,7 @@ from quadpoint.oracle import _bil_bits, _evaluate_bits
 from quadpoint.quadform import (
     QuadraticForm,
     SymplecticBasis,
+    _gram_pairs,
     _images,
     arf,
     bilinear,
@@ -29,6 +30,7 @@ from conftest import (
     eliminated_connector,
     invertible_matrices,
     nondegenerate_forms,
+    random_gram,
     rref,
     same_symplectic_pairs,
     zero_diagonal_grams,
@@ -154,6 +156,16 @@ class TestNondegenerate:
 
 
 class TestFormCaches:
+    def test_forms_sharing_a_gram_reduce_it_once(self):
+        """Non-degeneracy is cached per Gram: a second form on the same Gram,
+        with other basis values, finds its pairs in the cache."""
+        gram = BitMatrix(40, 40, tuple(random_gram(random.Random(7), 40)))
+        forms = [QuadraticForm(40, gram, BitVector(40, g)) for g in (1, 2)]
+        before = _gram_pairs.cache_info()
+        assert len({is_nondegenerate(f) for f in forms}) == 1
+        after = _gram_pairs.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
     def test_bounded(self):
         from quadpoint.orthogroup import canonical_umap, umap_partition
         from quadpoint.quadform import FORM_CACHE_SIZE

@@ -151,8 +151,15 @@ def test_packed_block_stays_behind_gf2_and_orthogroup():
     """Only gf2 and orthogroup know the packed block; every other module
     turns a word into a matrix through gf2._product.  Only gf2 and quadform
     multiply rows by byte tables, and only the oracle referee evaluates g and
-    B by its own polarization loops."""
-    block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block"}
+    B by its own polarization loops.  _transpose alone calls
+    _transpose_block, the one kernel that needs a power-of-two stride."""
+    block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block",
+             "_parities", "_ones"}
     assert _users(block) <= {"gf2.py", "orthogroup.py"}
+    callers = {f"{name}:{func.name}" for name, func in _nodes()
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Name) and node.id == "_transpose_block"}
+    assert callers == {"gf2.py:_transpose"}
     assert _users({"_tables", "_lookup"}) <= {"gf2.py", "quadform.py"}
     assert _users({"_bil_bits", "_evaluate_bits"}) <= {"oracle.py"}
