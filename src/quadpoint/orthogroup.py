@@ -332,39 +332,32 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     """Closure of all transvections (plus the canonical swap when it exists).
 
     All generators are involutions, so the closure of the identity under
-    right multiplication by them is the full generated group.  States are
-    blocks of rows, on which right multiplication by a step (sel, add) is
-    one _flip with sel and add exchanged: sel = c and add = G c for the
-    transvection along c, and the two _swap_steps for the swap.
+    right multiplication by them is the full generated group.  A state is a
+    block of rows, on which right multiplication by a _product step
+    (sel, add) is one _flip with sel and add exchanged.  A BFS level is one
+    block, each state a slot of dim * stride bits, so a step flips the whole
+    level at once.  A generator is a list of such row steps: one, (c, G c),
+    for the transvection along c, and two, the _swap_steps exchanged, for
+    the swap.
     """
     dim = f.dim
     _require_nondegenerate(f)
     _check_dim(dim, ENUMERATION_MAX_DIM, "group enumeration")
     stride = _stride(dim)
     gram_g = _images(f)
-    tgens = []
-    for v in range(1, 1 << dim):
-        gv, g = gram_g(v)
-        if g:
-            tgens.append((v, gv))
-    swap = _swap_steps(f) if include_umap and dim == 4 and arf(f) == 0 else ()
-    identity = _identity_block(dim, stride)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for cbits, gbits in tgens:
-                prod = _flip(state, cbits, gbits, stride, dim)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-            if swap:
-                prod = state
-                for sel, add in swap:
-                    prod = _flip(prod, add, sel, stride, dim)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return {BitMatrix(dim, dim, tuple(_unpack(state, stride, dim))) for state in seen}
+    gens = [[(v, gram_g(v)[0])] for v in range(1, 1 << dim) if gram_g(v)[1]]
+    if include_umap and dim == 4 and arf(f) == 0:
+        gens.append([(add, sel) for sel, add in _swap_steps(f)])
+    seen, level = set(), {_identity_block(dim, stride)}
+    while level:
+        seen |= level
+        block, count = _pack(level, dim * stride), len(level)
+        nxt = set()
+        for steps in gens:
+            prod = block
+            for sel, add in steps:
+                prod = _flip(prod, sel, add, stride, count * dim)
+            nxt.update(_unpack(prod, dim * stride, count))
+        level = nxt - seen
+    rows = _unpack(_pack(seen, dim * stride), stride, len(seen) * dim)
+    return {BitMatrix(dim, dim, rows[k * dim:k * dim + dim]) for k in range(len(seen))}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from quadpoint.gf2 import (
     parity,
 )
 from quadpoint.oracle import _evaluate_bits
-from quadpoint.orthogroup import enumerate_group
+from quadpoint.orthogroup import OrthogonalMap, decompose, enumerate_group, recompose
 from quadpoint.quadform import (
     QuadraticForm,
     _find_flip,
@@ -342,6 +343,37 @@ def small_groups():
         (genus, arf_value): enumerate_group(standard_form(genus, arf_value))
         for genus, arf_value in STANDARD_CASES
     }
+
+
+@pytest.fixture(scope="session")
+def dim6_groups():
+    """The two dimension-6 groups by closure, and the seconds the closure took."""
+    t0 = time.monotonic()
+    groups = {a: enumerate_group(standard_form(3, a)) for a in (0, 1)}
+    return groups, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def decompositions(small_groups, dim6_groups):
+    """Every element of dimensions 2 to 6, certified, decomposed and
+    recomposed once for all the tests that check the round trip.
+
+    Returns ({(genus, arf): {m: (OrthogonalMap(f, m), u_flag, word,
+    recompose(f, u_flag, word))}}, the seconds the tables took).  The groups
+    are the closures with the swap, so at dimension 4 with Arf 0 the swap
+    coset is in the table.
+    """
+    t0 = time.monotonic()
+    groups = {**small_groups, **{(3, a): group for a, group in dim6_groups[0].items()}}
+    tables = {}
+    for (genus, arf_value), group in groups.items():
+        f = standard_form(genus, arf_value)
+        table = tables[genus, arf_value] = {}
+        for m in group:
+            t = OrthogonalMap(f, m)
+            u_flag, word = decompose(t)
+            table[m] = t, u_flag, word, recompose(f, u_flag, word)
+    return tables, time.monotonic() - t0
 
 
 # Directory that holds the quadpoint package this process imported: src/ in a

@@ -509,44 +509,50 @@ def test_restoration_matches_the_fold_referee(dim):
 
 # -- word length against a breadth-first search ---------------------------------
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=6)
 def transvection_distances(genus, arf_value):
     """The group the transvections generate, with each element's shortest word.
 
-    A BFS from the identity over packed row blocks, right multiplication by
-    the transvection along c being one _flip with sel = c and add = G c.  G c
-    and g(c) come from the polarization referees, not the form's tables.
-    Keys are row blocks at stride _stride(dim).
+    A BFS from the identity over packed row blocks, one level at a time: a
+    level is one block of its states, each a slot of dim * n bits, and right
+    multiplication by the transvection along c is one _flip of the whole
+    level with sel = c and add = G c.  A state's distance is the index of the
+    level it first appears in.  G c and g(c) come from the polarization
+    referees, not the form's tables.  Keys are row blocks at stride
+    n = _stride(dim).
     """
     f = standard_form(genus, arf_value)
     dim = f.dim
     n = _stride(dim)
     gens = [(c, sum(_bil_bits(f, 1 << j, c) << j for j in range(dim)))
             for c in range(1, 1 << dim) if _evaluate_bits(f, c)]
-    start = _pack([1 << i for i in range(dim)], n)
-    distances = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for c, gc in gens:
-                prod = _flip(state, c, gc, n, dim)
-                if prod not in distances:
-                    distances[prod] = distances[state] + 1
-                    nxt.append(prod)
-        frontier = nxt
+    distances = {}
+    level, depth = {_pack([1 << i for i in range(dim)], n)}, 0
+    while level:
+        distances.update(dict.fromkeys(level, depth))
+        block, count = _pack(level, dim * n), len(level)
+        nxt = set()
+        for c, gc in gens:
+            nxt.update(_unpack(_flip(block, c, gc, n, count * dim), dim * n, count))
+        level, depth = nxt - distances.keys(), depth + 1
     return f, distances
 
 
-@pytest.mark.parametrize("genus, arf_value", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)])
-def test_word_length_against_bfs_minimum(genus, arf_value):
+GROUP_CASES = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+
+
+@pytest.mark.parametrize("genus, arf_value", GROUP_CASES)
+def test_word_length_against_bfs_minimum(genus, arf_value, decompositions):
     """Every element of dims 2 to 6: round trip, parity, and
     rank(T - Id) <= |word| <= rank + 2, so at most 2 over the BFS minimum.
 
     At dim 4 with Arf 0 the swap coset x u is included: its word reproduces
-    x, so it is held against x's rank and minimum.
+    x, so it is held against x's rank and minimum.  Each decomposition is
+    read from the shared table by matrix; an element missing from it is a
+    KeyError.
     """
     f, distances = transvection_distances(genus, arf_value)
+    table = decompositions[0][genus, arf_value]
     dim = f.dim
     n = _stride(dim)
     swap = canonical_umap(f).matrix if (genus, arf_value) == (2, 0) else None
@@ -554,11 +560,30 @@ def test_word_length_against_bfs_minimum(genus, arf_value):
         x = BitMatrix(dim, dim, _unpack(state, n, dim))
         r = rank(x ^ BitMatrix.identity(dim))
         for u_flag, m in [(0, x)] + ([(1, multiply(x, swap))] if swap else []):
-            u, word = decompose(OrthogonalMap(f, m))
-            assert (u, recompose(f, u, word)) == (u_flag, m)
+            _, u, word, recomposed = table[m]
+            assert (u, recomposed) == (u_flag, m)
             assert r <= len(word) <= r + 2
             assert len(word) <= minimum + 2
             assert len(word) % 2 == r % 2 == minimum % 2
+
+
+@pytest.mark.parametrize("genus, arf_value", GROUP_CASES)
+def test_enumerate_group_is_the_referee_closure_one_flip_per_level(genus, arf_value, monkeypatch):
+    """enumerate_group without the swap returns the referee BFS's states,
+    and flips each BFS level once per transvection: (depth + 1) levels, the
+    last of which finds nothing new, times the g = 1 vectors."""
+    f, distances = transvection_distances(genus, arf_value)
+    n = _stride(f.dim)
+    calls = []
+
+    def counted_flip(*args):
+        calls.append(args)
+        return _flip(*args)
+
+    monkeypatch.setattr(orthogroup, "_flip", counted_flip)
+    group = enumerate_group(f, include_umap=False)
+    assert group == {BitMatrix(f.dim, f.dim, _unpack(s, n, f.dim)) for s in distances}
+    assert len(calls) == (max(distances.values()) + 1) * len(g_one_vectors(f))
 
 
 @pytest.mark.parametrize("arf_value, count", [(0, 105), (1, 45)])
