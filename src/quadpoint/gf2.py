@@ -279,8 +279,10 @@ def _unpack(x: int, stride: int, count: int) -> list[int]:
 
 
 def _identity_block(dim: int, stride: int) -> int:
-    """The block of the rows, or the columns, of the identity."""
-    return _pack([1 << i for i in range(dim)], stride)
+    """The block of the rows, or the columns, of the identity: bit i of slot
+    i is bit i (stride + 1), so the block is the dim-digit repunit in base
+    2^(stride + 1)."""
+    return ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
 
 
 @lru_cache(maxsize=16)
@@ -310,10 +312,8 @@ def _flip(x: int, sel: int, add: int, stride: int, count: int) -> int:
     """Add add to every vector v of the block with parity(v & sel) = 1.
 
     The parities of x & (sel in every slot), times add, put add in each slot
-    of parity 1, without carries as add < 2^stride.  On a block of columns,
-    sel = G c and add = c is left multiplication by the transvection
-    x -> x + B(x,c) c; on a block of rows, sel = c and add = G c is right
-    multiplication by it.
+    of parity 1, without carries as add < 2^stride.  On a row block,
+    _flip(x, add, sel) right-multiplies each row by the step (sel, add).
     """
     return x ^ _parities(x & sel * _ones(stride, count), stride, count) * add
 
@@ -322,16 +322,15 @@ def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
     """Rows of the product of the maps x -> x + parity(x & sel) add, one per
     step (sel, add), the first step applied first.
 
-    The product is kept as a block of columns, on which each step is one
-    _flip, and turned back into rows once at the end by _transpose, whose
-    block alone keeps a power-of-two stride.  The transvection along c is
-    the step (G c, c).
+    The product is kept as a block of rows, started at the identity and
+    right-multiplied by each step matrix I + add sel^T, the last step first:
+    one _flip per step.  The transvection along c is the step (G c, c).
     """
     stride = _stride(dim)
-    cols = _identity_block(dim, stride)
-    for sel, add in steps:
-        cols = _flip(cols, sel, add, stride, dim)
-    return _transpose(_unpack(cols, stride, dim), dim)
+    rows = _identity_block(dim, stride)
+    for sel, add in reversed(list(steps)):
+        rows = _flip(rows, add, sel, stride, dim)
+    return _unpack(rows, stride, dim)
 
 
 def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:

@@ -38,8 +38,9 @@ def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
 
 
 def matrix_key(m: BitMatrix) -> str:
-    """Canonical sort key: the row-major bit string."""
-    return "".join(m.to01_rows())
+    """Canonical sort key: the row-major bit string, bit j of a row at its
+    character j."""
+    return "".join([format(r, f"0{m.cols}b")[::-1] for r in m.data])
 
 
 class GroupTable(_Value):

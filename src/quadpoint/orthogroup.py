@@ -201,7 +201,8 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     q(e_j) is bit j of slot j of H; and in H + H^T, where the symmetric G
     cancels, entry (i, j) is B(T e_i, e_j) + B(T e_j, e_i), so the step along
     e_i + e_j reads its p off bits i and j of H.  Only the escape, whose
-    vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w).
+    vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w);
+    it reads Fix(T) = W^perp as the kernel of the slots G (T + I)e_j of H.
 
     Reading p off H assumes an orthogonal m, as decompose's OrthogonalMap
     certifies.  The lookups that fill H also give g((T + I)e_j), equal to
@@ -215,7 +216,6 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     stride = _stride(dim)
     mask = (1 << dim) - 1
     ones = _ones(stride, dim)
-    diagonal = ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
     identity = _identity_block(dim, stride)
     wcols = [c ^ 1 << j for j, c in enumerate(_transpose(m.data, dim))]
     images = [gram_g(w) for w in wcols]
@@ -235,7 +235,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     while w_block:
         if len(applied) >= 2 * dim:
             raise ValueError("restoration failed to reach the identity")
-        q = h_block & diagonal
+        q = h_block & identity
         if q:
             i = ((q & -q).bit_length() - 1) // stride
             push(w_block >> i * stride & mask, h_block >> i * stride & mask,
@@ -250,7 +250,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
                  hcols[i] ^ hcols[j], (h_block >> i ^ h_block >> j) & ones)
             continue
         wcols = _unpack(w_block, stride, dim)
-        fixed = _kernel(_echelon(_transpose(wcols, dim)), dim)
+        fixed = _kernel(_echelon(hcols), dim)
         c = _find_flip(f, fixed) or _find_flip(f, [1 << k for k in range(dim)])
         tc = _combine(wcols, c)
         rhs = 1 << dim
@@ -333,21 +333,20 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
 
     All generators are involutions, so the closure of the identity under
     right multiplication by them is the full generated group.  A state is a
-    block of rows, on which right multiplication by a _product step
-    (sel, add) is one _flip with sel and add exchanged.  A BFS level is one
-    block, each state a slot of dim * stride bits, so a step flips the whole
-    level at once.  A generator is a list of such row steps: one, (c, G c),
-    for the transvection along c, and two, the _swap_steps exchanged, for
-    the swap.
+    block of rows, right-multiplied by a _product step (sel, add) with one
+    _flip, as in _product.  A BFS level is one block, each state a slot of
+    dim * stride bits, so a step flips the whole level at once.  A generator
+    is a list of steps: one, (G c, c), for the transvection along c, and the
+    two _swap_steps for the swap.
     """
     dim = f.dim
     _require_nondegenerate(f)
     _check_dim(dim, ENUMERATION_MAX_DIM, "group enumeration")
     stride = _stride(dim)
     gram_g = _images(f)
-    gens = [[(v, gram_g(v)[0])] for v in range(1, 1 << dim) if gram_g(v)[1]]
+    gens = [[(gram_g(v)[0], v)] for v in range(1, 1 << dim) if gram_g(v)[1]]
     if include_umap and dim == 4 and arf(f) == 0:
-        gens.append([(add, sel) for sel, add in _swap_steps(f)])
+        gens.append(list(_swap_steps(f)))
     seen, level = set(), {_identity_block(dim, stride)}
     while level:
         seen |= level
@@ -356,7 +355,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
         for steps in gens:
             prod = block
             for sel, add in steps:
-                prod = _flip(prod, sel, add, stride, count * dim)
+                prod = _flip(prod, add, sel, stride, count * dim)
             nxt.update(_unpack(prod, dim * stride, count))
         level = nxt - seen
     rows = _unpack(_pack(seen, dim * stride), stride, len(seen) * dim)

@@ -10,6 +10,7 @@ from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
     _echelon,
+    _identity_block,
     _kernel,
     _matvec,
     _pack,
@@ -285,6 +286,17 @@ def test_pack_round_trip(width):
                                             for k in range(fewer)]
 
 
+def test_identity_block_is_the_packed_identity():
+    """The repunit closed form is the packed identity rows at the block
+    stride of every dim up to 256, strides 2^k and 3 * 2^k alike."""
+    strides = set()
+    for dim in range(257):
+        stride = _stride(dim)
+        strides.add(stride)
+        assert _identity_block(dim, stride) == _pack([1 << i for i in range(dim)], stride)
+    assert strides == {8, 16, 24, 32, 48, 64, 96, 128, 192, 256}
+
+
 @pytest.mark.parametrize("stride", [8, 16, 24, 32, 48, 64, 96, 128, 192])
 def test_parities_is_the_parity_of_each_slot(stride):
     """_parities puts each slot's bit_count() & 1 at its bit 0, at power-of-two
@@ -309,17 +321,18 @@ def test_table_product_matches_the_entrywise_product(inner):
         assert list(product.data) == bit_product(a, b, cols)
 
 
-@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 16, 17, 64, 65])
+@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 16, 17, 48, 49, 64, 65, 66, 96, 97])
 def test_product_is_the_chain_of_its_steps(dim):
     """_product against the multiply chain of one-step matrices, the later
     step on the left; row i of the step (sel, add) is e_i + add_i sel.  Its
     rows also map each x as the steps do one after another, read by _matvec.
-    No steps give the identity; dims are the stride edges."""
+    No steps give the identity; dims are the stride edges, 2^k and 3 * 2^k.
+    The steps also come as a generator, which _product reads once."""
     rng = random.Random(dim)
     ones = (1 << dim) - 1
     identity = BitMatrix.identity(dim)
     assert _product(dim, []) == list(identity.data)
-    for length in (1, 2, 6):
+    for length in (1, 2, 6, 128):
         steps = [(rng.getrandbits(dim), rng.getrandbits(dim)) for _ in range(length - 1)]
         steps.append((ones, ones))
         expected = identity
@@ -328,6 +341,7 @@ def test_product_is_the_chain_of_its_steps(dim):
             expected = multiply(BitMatrix(dim, dim, tuple(step)), expected)
         rows = _product(dim, steps)
         assert rows == list(expected.data)
+        assert _product(dim, (step for step in steps)) == rows
         for x in (0, ones, rng.getrandbits(dim), rng.getrandbits(dim)):
             y = x
             for sel, add in steps:

@@ -147,19 +147,54 @@ def test_private_names_have_users():
                 and ident not in named]
 
 
+def _callers(name):
+    """{"module:function": [its calls of name]} for every module-level function
+    or Class.method of the package that names name."""
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef):
+                funcs = [(f"{top.name}.{f.name}", f) for f in top.body
+                         if isinstance(f, ast.FunctionDef)]
+            elif isinstance(top, ast.FunctionDef):
+                funcs = [(top.name, top)]
+            else:
+                continue
+            for qualname, func in funcs:
+                refs = [node for node in ast.walk(func)
+                        if isinstance(node, ast.Name) and node.id == name]
+                if refs:
+                    callers[f"{path.name}:{qualname}"] = [
+                        node for node in ast.walk(func)
+                        if isinstance(node, ast.Call) and node.func in refs]
+    return callers
+
+
 def test_packed_block_stays_behind_gf2_and_orthogroup():
     """Only gf2 and orthogroup know the packed block; every other module
     turns a word into a matrix through gf2._product.  Only gf2 and quadform
     multiply rows by byte tables, and only the oracle referee evaluates g and
     B by its own polarization loops.  _transpose alone calls
-    _transpose_block, the one kernel that needs a power-of-two stride."""
+    _transpose_block, the one kernel that needs a power-of-two stride.
+
+    Word products have one orientation: _product and enumerate_group alone
+    call _flip, each as _flip(block, add, sel, ...), which right-multiplies
+    a row block by the step (sel, add).  No product transposes: _transpose
+    serves BitMatrix.transpose, the Gram's symmetry check, the pullback's
+    columns and the restoration's columns of m and of H alone; the
+    restoration reads Fix(T) off H and masks its diagonal with the identity
+    block."""
     block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block",
              "_parities", "_ones"}
     assert _users(block) <= {"gf2.py", "orthogroup.py"}
-    callers = {f"{name}:{func.name}" for name, func in _nodes()
-               if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func)
-               if isinstance(node, ast.Name) and node.id == "_transpose_block"}
-    assert callers == {"gf2.py:_transpose"}
+    assert set(_callers("_transpose_block")) == {"gf2.py:_transpose"}
+    flips = _callers("_flip")
+    assert set(flips) == {"gf2.py:_product", "orthogroup.py:enumerate_group"}
+    assert {ast.unparse(call.args[1]) + ", " + ast.unparse(call.args[2])
+            for found in flips.values() for call in found} == {"add, sel"}
+    assert set(_callers("_transpose")) == {
+        "gf2.py:BitMatrix.transpose", "quadform.py:QuadraticForm.__init__",
+        "quadform.py:_pullback_bits", "orthogroup.py:_restoration_word"}
+    assert not _users({"diagonal"})
     assert _users({"_tables", "_lookup"}) <= {"gf2.py", "quadform.py"}
     assert _users({"_bil_bits", "_evaluate_bits"}) <= {"oracle.py"}
