@@ -13,7 +13,7 @@ keeps it fully reduced (_echelon).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import attrgetter
 
@@ -207,8 +207,7 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.rows:
         raise ValueError(
             f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    tables = _tables(b.data)
-    return BitMatrix(a.rows, b.cols, tuple(_lookup(tables, r) for r in a.data))
+    return BitMatrix(a.rows, b.cols, tuple(_mul_rows(a.data, b.data, b.cols)))
 
 
 # -- the packed-row kernel ---------------------------------------------------
@@ -227,7 +226,7 @@ def _combine(rows: Sequence[int], bits: int) -> int:
 
 
 def _tables(rows: Sequence[int]) -> list[list[int]]:
-    """Four Russians byte tables of a fixed row set.
+    """Four Russians byte tables of a row set that serves many lookups.
 
     Table t lists, for every byte k, the XOR of the rows 8t + j picked by
     the set bits j of k (Arlazarov, Dinic, Kronrod and Faradzev, 1970).
@@ -291,31 +290,41 @@ def _ones(stride: int, count: int) -> int:
     return _pack([1] * count, stride)
 
 
-def _parities(x: int, stride: int, count: int) -> int:
+def _fold(stride: int) -> list[int]:
+    """The shifts of _parities' fold at the stride: stride/2, stride/4, ...
+    down to the odd part of the stride, 1, or 3 for a stride 3 * 2^k."""
+    shifts = []
+    while not stride & 1:
+        stride >>= 1
+        shifts.append(stride)
+    return shifts
+
+
+def _parities(x: int, ones: int, shifts: Sequence[int]) -> int:
     """The block whose vector k is the parity of vector k of x, at its bit 0.
 
-    Folding x ^= x >> s for s = stride/2, stride/4, ... down to the odd part
-    of the stride (1, or 3 for a stride 3 * 2^k) leaves the parity of each
-    slot in its lowest s bits, as the low half of a slot never reads the slot
-    above; three bits end with x ^= x >> 1 ^ x >> 2.
+    ones is _ones(stride, count) and shifts _fold(stride), computed once by
+    the caller for all the blocks of one product.  Folding x ^= x >> s for
+    each shift leaves the parity of each slot in its lowest s bits, as the
+    low half of a slot never reads the slot above; three bits end with
+    x ^= x >> 1 ^ x >> 2.
     """
-    s = stride
-    while not s & 1:
-        s >>= 1
+    for s in shifts:
         x ^= x >> s
     if s == 3:
         x ^= x >> 1 ^ x >> 2
-    return x & _ones(stride, count)
+    return x & ones
 
 
-def _flip(x: int, sel: int, add: int, stride: int, count: int) -> int:
+def _flip(x: int, sel: int, add: int, ones: int, shifts: Sequence[int]) -> int:
     """Add add to every vector v of the block with parity(v & sel) = 1.
 
     The parities of x & (sel in every slot), times add, put add in each slot
-    of parity 1, without carries as add < 2^stride.  On a row block,
-    _flip(x, add, sel) right-multiplies each row by the step (sel, add).
+    of parity 1, without carries as add < 2^stride.  ones and shifts are as
+    for _parities.  On a row block, _flip(x, add, sel) right-multiplies each
+    row by the step (sel, add).
     """
-    return x ^ _parities(x & sel * _ones(stride, count), stride, count) * add
+    return x ^ _parities(x & sel * ones, ones, shifts) * add
 
 
 def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
@@ -324,13 +333,32 @@ def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
 
     The product is kept as a block of rows, started at the identity and
     right-multiplied by each step matrix I + add sel^T, the last step first:
-    one _flip per step.  The transvection along c is the step (G c, c).
+    one _flip per step, with the fold's constants computed once.  The
+    transvection along c is the step (G c, c).
     """
     stride = _stride(dim)
+    ones, shifts = _ones(stride, dim), _fold(stride)
     rows = _identity_block(dim, stride)
     for sel, add in reversed(list(steps)):
-        rows = _flip(rows, add, sel, stride, dim)
+        rows = _flip(rows, add, sel, ones, shifts)
     return _unpack(rows, stride, dim)
+
+
+def _mul_rows(a: Sequence[int], b: Sequence[int], cols: int) -> list[int]:
+    """Rows of the product a . b, b of width cols: the block product for a
+    matrix multiplied once, where byte tables of b would not pay back.
+
+    With A the block of a's rows, ((A >> k) & ones) has bit 0 of slot i set
+    when a_ik = 1, so times row k of b it adds b_k to those slots, without
+    carries as b_k < 2^stride; the sum over k is the product.  The stride
+    holds a's rows, of width len(b), and the product's, of width cols.
+    """
+    stride = _stride(max(len(b), cols))
+    x, ones, acc = _pack(a, stride), _ones(stride, len(a)), 0
+    for r in b:
+        acc ^= (x & ones) * r
+        x >>= 1
+    return _unpack(acc, stride, len(a))
 
 
 def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
@@ -345,7 +373,9 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     alpha beta^T, the congruence by the projection, with no parity fold.  x
     and y become 0, and the zero slots below x are shifted out (ix counts
     them).  The projection has kernel span(x, y), so the rest stay
-    independent; an x with no partner lies in the radical.
+    independent; an x with no partner lies in the radical.  The scan for
+    the first nonzero slot, a negation of the whole block, is skipped when
+    slot 0 is not empty, as on the first pass.
     """
     dim = len(gram)
     stride = _stride(dim)
@@ -353,8 +383,9 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     z, m, ix = _identity_block(dim, stride), _pack(gram, stride), 0
     pairs = []
     while z:
-        skip = ((z & -z).bit_length() - 1) // stride
-        z, m, ix = z >> skip * stride, m >> skip * stride, ix + skip
+        if not z & mask:
+            skip = ((z & -z).bit_length() - 1) // stride
+            z, m, ix = z >> skip * stride, m >> skip * stride, ix + skip
         row_x = m & mask
         if not row_x:
             raise ValueError("degenerate form")
@@ -464,15 +495,16 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     return None if x is None else BitVector(m.cols, x)
 
 
-def _kernel(echelon: dict[int, int], cols: int) -> list[int]:
-    """Null-space basis of the first cols columns, one vector per free column.
+def _kernel(echelon: dict[int, int], cols: int) -> Iterator[int]:
+    """Null-space basis of the first cols columns, one vector per free column,
+    built as it is read.
 
     The vector of free column j is e_j plus the solution whose right-hand side
     is column j.  Right-hand sides kept at bit cols and above change nothing:
     cut there, the rows are the reduced form of the system without them.
     """
-    return [(1 << j) | _solution(echelon, 1 << j)
-            for j in range(cols) if 1 << j not in echelon]
+    return ((1 << j) | _solution(echelon, 1 << j)
+            for j in range(cols) if 1 << j not in echelon)
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:

@@ -19,6 +19,7 @@ from .gf2 import (
     _combine,
     _echelon,
     _flip,
+    _fold,
     _identity_block,
     _kernel,
     _ones,
@@ -37,6 +38,7 @@ from .gf2 import (
 from .quadform import (
     FORM_CACHE_SIZE,
     QuadraticForm,
+    _columns,
     _find_flip,
     _images,
     _preserves,
@@ -201,33 +203,40 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     q(e_j) is bit j of slot j of H; and in H + H^T, where the symmetric G
     cancels, entry (i, j) is B(T e_i, e_j) + B(T e_j, e_i), so the step along
     e_i + e_j reads its p off bits i and j of H.  Only the escape, whose
-    vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w);
-    it reads Fix(T) = W^perp as the kernel of the slots G (T + I)e_j of H.
+    vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w).
 
-    Reading p off H assumes an orthogonal m, as decompose's OrthogonalMap
-    certifies.  The lookups that fill H also give g((T + I)e_j), equal to
-    q(e_j) when g(T e_j) = g(e_j); if not, m is not orthogonal and every
-    push folds.  On other input than an orthogonal map the function returns
-    some word or raises ValueError, after at most 2 dim pushes.  The word is
-    in application order: its transvections, first entry first, compose to m.
+    The escape works at the rank of W: the rows G w of an echelon basis of
+    G W come off H in one block pass each, which clears the lowest bit of
+    the first nonzero slot from every slot; Fix(T) = W^perp is their
+    kernel, built only as far as _find_flip reads it; and _outside_span
+    tests every candidate for v at once by parities against the rows.
+
+    W and H start from _columns, the columns c_j of m with the Gram images
+    and g-values that OrthogonalMap's certificate looked up: slot j of W is
+    c_j + e_j, and slot j of H is G c_j + gram[j].  Reading p off H assumes
+    an orthogonal m: g((T + I)e_j) = g(c_j) + g(e_j) + B(c_j, e_j) is
+    q(e_j) = B(c_j, e_j) exactly when g(c_j) = g(e_j); if that fails for
+    some j, m is not orthogonal and every push folds.  On other input than
+    an orthogonal map the function returns some word or raises ValueError,
+    after at most 2 dim pushes.  The word is in application order: its
+    transvections, first entry first, compose to m.
     """
     dim = f.dim
     gram_g = _images(f)
     stride = _stride(dim)
     mask = (1 << dim) - 1
-    ones = _ones(stride, dim)
+    ones, shifts = _ones(stride, dim), _fold(stride)
     identity = _identity_block(dim, stride)
-    wcols = [c ^ 1 << j for j, c in enumerate(_transpose(m.data, dim))]
-    images = [gram_g(w) for w in wcols]
-    w_block = _pack(wcols, stride)
-    h_block = _pack([gw for gw, _ in images], stride)
-    read = all(g == gw >> j & 1 for j, (gw, g) in enumerate(images))
+    cols, gram_cols, gbits = _columns(f, m.data)
+    w_block = _pack(cols, stride) ^ identity
+    h_block = _pack([gc ^ g for gc, g in zip(gram_cols, f.gram.data)], stride)
+    read = gbits == f.basis_g.bits
     applied: list[int] = []
 
     def push(w: int, gw: int, p: int | None = None) -> None:
         nonlocal w_block, h_block
         if p is None or not read:
-            p = _parities((w_block ^ identity) & gw * ones, stride, dim)
+            p = _parities((w_block ^ identity) & gw * ones, ones, shifts)
         w_block ^= p * w
         h_block ^= p * gw
         applied.append(w)
@@ -249,23 +258,57 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
             push((w_block >> i * stride ^ w_block >> j * stride) & mask,
                  hcols[i] ^ hcols[j], (h_block >> i ^ h_block >> j) & ones)
             continue
-        wcols = _unpack(w_block, stride, dim)
-        fixed = _kernel(_echelon(hcols), dim)
-        c = _find_flip(f, fixed) or _find_flip(f, [1 << k for k in range(dim)])
-        tc = _combine(wcols, c)
+        rows, rest = [], h_block
+        while rest:
+            low = (rest & -rest).bit_length() - 1
+            row = rest >> low - low % stride & mask
+            rest ^= (rest >> low % stride & ones) * row
+            rows.append(row)
+        c = (_find_flip(f, _kernel(_echelon(rows), dim))
+             or _find_flip(f, [1 << k for k in range(dim)]))
+        gc = gram_g(c)[0]
         rhs = 1 << dim
-        system = _echelon([gram_g(c)[0] | rhs, gram_g(tc)[0]])
+        system = _echelon([gc | rhs, _combine(hcols, c)])  # the second row is G (T + I)c
         s0 = _solution(system, rhs)
-        # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c
-        v = None if s0 is None else next(
-            (x for x in (s0 ^ k for k in [0, *_kernel(system, dim)])
-             if _combine(wcols, x) not in (0, tc)), None)
+        v = None if s0 is None else _outside_span(rows, system, s0, c, dim)
         if v is None:
             raise ValueError("restoration found no escape from a dead end")
-        push(c, gram_g(c)[0])
-        w = _combine(wcols, v) ^ c
+        w = _combine(_unpack(w_block, stride, dim), v) ^ c
+        push(c, gc)
         push(w, gram_g(w)[0])
     return [BitVector(dim, c) for c in reversed(applied)]
+
+
+def _outside_span(rows: list[int], system: dict[int, int], s0: int, c: int,
+                  dim: int) -> int | None:
+    """The first of s0, then s0 + k_j for the kernel vectors k_j of the
+    system in column order, that lies outside span(P, c), where P is the
+    vectors x with parity(x & h) = 0 for every row h; None if none does.
+
+    x lies in span(P, c) exactly when x or x + c lies in P: when its
+    parities against the rows are all 0 or all those of c.  k_j is e_j plus
+    the pivots p whose system rows hold bit j, so parity(k_j & h) is bit j
+    of h plus the sum of the rows of the pivots at the set bits of h: one
+    XOR of at most two system rows per row h gives it for every j at once.
+    """
+    mask = (1 << dim) - 1
+    at_s0 = [parity(s0 & h) for h in rows]
+    at_c = [parity(c & h) for h in rows]
+    if any(at_s0) and at_s0 != at_c:
+        return s0
+    outside = outside_c = 0  # bit j: s0 + k_j, resp. s0 + k_j + c, lies outside P
+    for h, a, b in zip(rows, at_s0, at_c):
+        bits = h ^ (mask if a else 0)
+        for p, row in system.items():
+            if p & h:
+                bits ^= row
+        outside |= bits
+        outside_c |= bits ^ (mask if b else 0)
+    found = outside & outside_c & mask & ~sum(system)  # at free columns only
+    if not found:
+        return None
+    j = found & -found
+    return s0 ^ j ^ _solution(system, j)
 
 
 def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
@@ -347,15 +390,17 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     gens = [[(gram_g(v)[0], v)] for v in range(1, 1 << dim) if gram_g(v)[1]]
     if include_umap and dim == 4 and arf(f) == 0:
         gens.append(list(_swap_steps(f)))
+    shifts = _fold(stride)
     seen, level = set(), {_identity_block(dim, stride)}
     while level:
         seen |= level
         block, count = _pack(level, dim * stride), len(level)
+        ones = _ones(stride, count * dim)
         nxt = set()
         for steps in gens:
             prod = block
             for sel, add in steps:
-                prod = _flip(prod, add, sel, stride, count * dim)
+                prod = _flip(prod, add, sel, ones, shifts)
             nxt.update(_unpack(prod, dim * stride, count))
         level = nxt - seen
     rows = _unpack(_pack(seen, dim * stride), stride, len(seen) * dim)

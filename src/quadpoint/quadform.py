@@ -10,7 +10,7 @@ per dimension, separated by the Arf invariant.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .gf2 import (
@@ -20,6 +20,7 @@ from .gf2 import (
     _echelon,
     _kernel,
     _lookup,
+    _mul_rows,
     _solution,
     _symplectic_pairs,
     _tables,
@@ -94,16 +95,32 @@ def _images(f: QuadraticForm):
     return gram_g
 
 
+@lru_cache(maxsize=1)
+def _columns(f: QuadraticForm, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The columns c_i = m e_i of the square m with these rows, their Gram
+    images G c_i, and g(c_i) at bit i: one _images lookup per column.
+
+    One matrix is kept, as _images keeps one form: OrthogonalMap certifies m
+    through _pullback_bits and decompose's restoration reads the same columns
+    one call later.
+    """
+    gram_g = _images(f)
+    cols = tuple(_transpose(rows, f.dim))
+    images = [gram_g(c) for c in cols]
+    return (cols, tuple(gc for gc, _ in images),
+            sum(g << i for i, (_, g) in enumerate(images)))
+
+
 def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Gram rows and basis values of x -> g(m x), for square m given by its rows.
 
-    One _images lookup per column c_i = m e_i gives G c_i and g(c_i); row i
-    of m^T gram m is m^T (G c_i), read from the byte tables of m's rows.
+    _columns gives G c_i and g(c_i) for the columns c_i = m e_i; row i of
+    m^T gram m is m^T (G c_i), the rows G c_i times m in one gf2._mul_rows
+    block product, as m is multiplied once and its byte tables would not
+    pay back.
     """
-    gram_g, tables = _images(f), _tables(rows)
-    images = [gram_g(c) for c in _transpose(rows, f.dim)]
-    return (tuple(_lookup(tables, gc) for gc, _ in images),
-            sum(g << i for i, (_, g) in enumerate(images)))
+    _, gram_cols, gbits = _columns(f, tuple(rows))
+    return tuple(_mul_rows(gram_cols, rows, f.dim)), gbits
 
 
 def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
@@ -111,6 +128,8 @@ def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
 
     By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
     form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
+    The columns' Gram images and g-values it reads through _pullback_bits
+    stay in _columns' cache, where the restoration of the same m reads them.
     """
     return _pullback_bits(f, rows) == (f.gram.data, f.basis_g.bits)
 
@@ -220,22 +239,27 @@ def standard_form(genus: int, arf_value: int) -> QuadraticForm:
 
 # -- searches ---------------------------------------------------------------
 
-def _find_flip(f: QuadraticForm, space_basis: Sequence[int], base: int = 0) -> int | None:
+def _find_flip(f: QuadraticForm, space_basis: Iterable[int], base: int = 0) -> int | None:
     """Element of base + span with g = 1, base itself first when g(base) = 1.
 
     g(b + x + y) = g(b + x) + g(b + y) + g(b) + B(x, y), so if g vanishes
     on base and on base plus each basis vector, a witness, when one exists,
-    is base plus a pair with B = 1.
+    is base plus a pair with B = 1.  The basis is read one vector at a time,
+    so a lazy basis (gf2._kernel) is built only as far as the first witness.
     """
     gram_g = _images(f)
-    for k in [0, *space_basis]:
-        if gram_g(base ^ k)[1]:
-            return base ^ k
-    images = [gram_g(y)[0] for y in space_basis]
-    for i, x in enumerate(space_basis):
-        for j in range(i + 1, len(space_basis)):
+    if gram_g(base)[1]:
+        return base
+    read = []
+    for x in space_basis:
+        if gram_g(base ^ x)[1]:
+            return base ^ x
+        read.append(x)
+    images = [gram_g(y)[0] for y in read]
+    for i, x in enumerate(read):
+        for j in range(i + 1, len(read)):
             if parity(x & images[j]):
-                return base ^ x ^ space_basis[j]
+                return base ^ x ^ read[j]
     return None
 
 

@@ -15,6 +15,7 @@ from quadpoint.gf2 import (
     BitVector,
     _combine,
     _echelon,
+    _fold,
     _identity_block,
     _kernel,
     _matvec,
@@ -234,7 +235,7 @@ def fold_restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     def push(w: int) -> None:
         nonlocal cols, gcols
         gw = gram_g(w)[0]
-        p = _parities(cols & gw * ones, stride, dim)
+        p = _parities(cols & gw * ones, ones, _fold(stride))
         cols ^= p * w
         gcols ^= p * gw
         applied.append(w)

@@ -10,9 +10,12 @@ from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
     _echelon,
+    _fold,
     _identity_block,
     _kernel,
     _matvec,
+    _mul_rows,
+    _ones,
     _pack,
     _parities,
     _product,
@@ -145,7 +148,7 @@ def check_against_reference(m, rhs_values):
         got = solve(m, BitVector(m.rows, v))
         assert (None if got is None else got.bits) == rref_solve(m.data, m.cols, v)
         augmented = _echelon(row | ((v >> i) & 1) << m.cols for i, row in enumerate(m.data))
-        assert _kernel(augmented, m.cols) == expected_kernel
+        assert list(_kernel(augmented, m.cols)) == expected_kernel
 
 
 def test_rank_nullity_exhaustive_small():
@@ -305,20 +308,39 @@ def test_parities_is_the_parity_of_each_slot(stride):
     for count in (0, 1, stride):
         rows = [rng.getrandbits(stride) for _ in range(count - 1)]
         rows += [(1 << stride) - 1] * (count > 0)
-        got = _unpack(_parities(_pack(rows, stride), stride, count), stride, count)
+        got = _unpack(_parities(_pack(rows, stride), _ones(stride, count), _fold(stride)),
+                      stride, count)
         assert got == [r.bit_count() & 1 for r in rows]
 
 
 @pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 65])
 def test_table_product_matches_the_entrywise_product(inner):
-    """multiply on full and partial byte tables of b against the product
-    entry by entry."""
+    """multiply, the block product of gf2._mul_rows, against the product
+    entry by entry, at inner widths on either side of a byte."""
     rng = random.Random(inner)
     for rows, cols in ((0, 5), (1, 9), (6, 70), (inner, inner)):
         a = [rng.getrandbits(inner) for _ in range(rows)] + [(1 << inner) - 1]
         b = [rng.getrandbits(cols) for _ in range(inner)]
         product = multiply(BitMatrix(len(a), inner, a), BitMatrix(inner, cols, b))
         assert list(product.data) == bit_product(a, b, cols)
+
+
+@pytest.mark.parametrize("width", [8, 9, 16, 17, 24, 25, 32, 33, 48, 49, 64, 65, 66, 96, 97, 128])
+def test_block_product_matches_the_entrywise_product(width):
+    """_mul_rows against bit_product at every stride edge, 2^k and 3 * 2^k:
+    the edge lies in the width of a's rows (len(b)), of the product's rows
+    (cols) or both, with row counts other than the widths; and on empty
+    factors and a zero-width product."""
+    rng = random.Random(width)
+    for rows in (1, 6):
+        for inner, cols in ((width, width), (width, 9), (9, width)):
+            a = [rng.getrandbits(inner) for _ in range(rows - 1)] + [(1 << inner) - 1]
+            b = [rng.getrandbits(cols) for _ in range(inner - 1)] + [(1 << cols) - 1]
+            assert _mul_rows(a, b, cols) == bit_product(a, b, cols)
+    assert _mul_rows([], [rng.getrandbits(width)], width) == []
+    assert _mul_rows([0, 0, 0], [], width) == [0, 0, 0]
+    assert _mul_rows([rng.getrandbits(width)], [0] * width, 0) == [0]
+    assert _mul_rows([], [], 0) == []
 
 
 @pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 16, 17, 48, 49, 64, 65, 66, 96, 97])

@@ -1,5 +1,6 @@
 """Orthogonal group: membership, transvections, parity, decomposition."""
 
+import hashlib
 import random
 from functools import lru_cache
 
@@ -11,6 +12,8 @@ from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
     _flip,
+    _fold,
+    _ones,
     _pack,
     _product,
     _stride,
@@ -210,9 +213,9 @@ def test_rank_one_update_is_the_transvection_product(data):
     gc = sum(_bil_bits(f, 1 << j, c) << j for j in range(dim))
     t = [(1 << i) ^ (gc if (c >> i) & 1 else 0) for i in range(dim)]
     n = _stride(dim)
-    cols = _flip(_pack(_transpose(m, dim), n), gc, c, n, dim)
+    cols = _flip(_pack(_transpose(m, dim), n), gc, c, _ones(n, dim), _fold(n))
     assert _transpose(_unpack(cols, n, dim), dim) == bit_product(t, m)
-    assert _unpack(_flip(_pack(m, n), c, gc, n, dim), n, dim) == bit_product(m, t)
+    assert _unpack(_flip(_pack(m, n), c, gc, _ones(n, dim), _fold(n)), n, dim) == bit_product(m, t)
     assert transvection_matrix(f, BitVector(dim, c)).data == tuple(t)
 
 
@@ -229,7 +232,7 @@ def test_flip_is_the_transvection_on_every_column(dim):
         gc = sum(_bil_bits(f, 1 << j, c) << j for j in range(dim))
         for count in (0, 1, dim):
             cols = [rng.getrandbits(dim) for _ in range(count - 1)] + [(1 << dim) - 1] * (count > 0)
-            got = _unpack(_flip(_pack(cols, n), gc, c, n, count), n, count)
+            got = _unpack(_flip(_pack(cols, n), gc, c, _ones(n, count), _fold(n)), n, count)
             assert got == [x ^ (c if _bil_bits(f, x, c) else 0) for x in cols]
 
 
@@ -507,6 +510,70 @@ def test_restoration_matches_the_fold_referee(dim):
             assert recompose(f, 0, word) == m
 
 
+def pinned_cases():
+    """60 seeded (form, orthogonal map) pairs, built with the referee's g and
+    B, not the engine's products, pullback or byte tables.
+
+    54 random forms of dims 8 to 76, each with a product of 128, dim or
+    2 dim + 1 random g = 1 transvections, kept as columns; and 6 Lagrangian
+    involutions of test_lagrangian_dead_ends, dims 8 to 16, moved to a
+    seeded basis P: the form x -> g(P x), Gram P^T G P, and P^-1 T P.  The
+    Lagrangian ones are the dead ends where c lies outside Fix(T), so that
+    an escape which skips the x + c test gives other words.
+    """
+    rng = random.Random(23)
+    for k in range(54):
+        dim = 2 * (4 + k * 17 % 35)
+        gram = random_gram(rng, dim)
+        while rank_rows(gram) != dim:
+            gram = random_gram(rng, dim)
+        f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)),
+                          BitVector(dim, rng.getrandbits(dim)))
+        cols = [1 << j for j in range(dim)]
+        for _ in range(rng.choice((128, 2 * dim + 1, dim))):
+            c = 0
+            while not _evaluate_bits(f, c):
+                c = rng.getrandbits(dim)
+            gc = sum(_bil_bits(f, 1 << j, c) << j for j in range(dim))
+            cols = [x ^ c if (x & gc).bit_count() % 2 else x for x in cols]
+        yield f, BitMatrix(dim, dim, tuple(_transpose(cols, dim)))
+    for genus in (4, 4, 6, 6, 8, 8):
+        base, dim = standard_form(genus, 0), 2 * genus
+        cols = [1 << j for j in range(dim)]
+        for i in range(genus):
+            cols[2 * i + 1] |= 1 << 2 * (i ^ 1)
+        inverse = None
+        while inverse is None:
+            p = [rng.getrandbits(dim) for _ in range(dim)]
+            inverse = rref_inverse(p)
+        pcols = _transpose(p, dim)
+        gram = [sum(_bil_bits(base, x, y) << j for j, y in enumerate(pcols)) for x in pcols]
+        gbits = sum(_evaluate_bits(base, x) << j for j, x in enumerate(pcols))
+        f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)), BitVector(dim, gbits))
+        t = _transpose(cols, dim)
+        yield f, BitMatrix(dim, dim, tuple(bit_product(bit_product(inverse, t), p)))
+
+
+# sha256 of the pinned cases' words, one line "u_flag c1 c2 ..." (hex) per
+# case, recorded before the escape worked at the rank of W.
+PINNED_WORDS = "075fbeec8b3f2cff87f29ec37e6e85fa61e82e19ba36cc45707abaed85451b45"
+
+
+def test_decompose_words_are_pinned():
+    """decompose gives the same words, bit for bit, as when the digest was
+    recorded: a faster restoration must not choose other transvections.
+    Every word round-trips, and the cases take at least 20 dead ends, each
+    two letters above rank(m + I)."""
+    digest, dead_ends = hashlib.sha256(), 0
+    for f, m in pinned_cases():
+        u, word = decompose(OrthogonalMap(f, m))
+        assert recompose(f, u, word) == m
+        dead_ends += (len(word) - rank(m ^ BitMatrix.identity(f.dim))) // 2
+        digest.update(f"{u} {' '.join(format(c.bits, 'x') for c in word)}\n".encode())
+    assert dead_ends >= 20
+    assert digest.hexdigest() == PINNED_WORDS
+
+
 # -- word length against a breadth-first search ---------------------------------
 
 @lru_cache(maxsize=6)
@@ -531,9 +598,10 @@ def transvection_distances(genus, arf_value):
     while level:
         distances.update(dict.fromkeys(level, depth))
         block, count = _pack(level, dim * n), len(level)
+        ones = _ones(n, count * dim)
         nxt = set()
         for c, gc in gens:
-            nxt.update(_unpack(_flip(block, c, gc, n, count * dim), dim * n, count))
+            nxt.update(_unpack(_flip(block, c, gc, ones, _fold(n)), dim * n, count))
         level, depth = nxt - distances.keys(), depth + 1
     return f, distances
 

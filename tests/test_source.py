@@ -172,21 +172,26 @@ def _callers(name):
 
 def test_packed_block_stays_behind_gf2_and_orthogroup():
     """Only gf2 and orthogroup know the packed block; every other module
-    turns a word into a matrix through gf2._product.  Only gf2 and quadform
-    multiply rows by byte tables, and only the oracle referee evaluates g and
-    B by its own polarization loops.  _transpose alone calls
-    _transpose_block, the one kernel that needs a power-of-two stride.
+    turns a word into a matrix through gf2._product and multiplies a matrix
+    it multiplies once through the rows-level block product gf2._mul_rows,
+    as multiply and _pullback_bits alone do.  Byte tables serve only the
+    form's _images, where one row set serves many lookups, and only the
+    oracle referee evaluates g and B by its own polarization loops.
+    _transpose alone calls _transpose_block, the one kernel that needs a
+    power-of-two stride.
 
     Word products have one orientation: _product and enumerate_group alone
     call _flip, each as _flip(block, add, sel, ...), which right-multiplies
     a row block by the step (sel, add).  No product transposes: _transpose
-    serves BitMatrix.transpose, the Gram's symmetry check, the pullback's
-    columns and the restoration's columns of m and of H alone; the
-    restoration reads Fix(T) off H and masks its diagonal with the identity
-    block."""
+    serves BitMatrix.transpose, the Gram's symmetry check, the columns of m
+    that _columns keeps for the pullback and the restoration, and the
+    restoration's transpose of H alone; the restoration reads the echelon
+    rows of G W off H and masks its diagonal with the identity block."""
     block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block",
-             "_parities", "_ones"}
+             "_parities", "_ones", "_fold"}
     assert _users(block) <= {"gf2.py", "orthogroup.py"}
+    assert set(_callers("_mul_rows")) == {"gf2.py:multiply", "quadform.py:_pullback_bits"}
+    assert set(_callers("_tables")) == set(_callers("_lookup")) == {"quadform.py:_images"}
     assert set(_callers("_transpose_block")) == {"gf2.py:_transpose"}
     flips = _callers("_flip")
     assert set(flips) == {"gf2.py:_product", "orthogroup.py:enumerate_group"}
@@ -194,7 +199,7 @@ def test_packed_block_stays_behind_gf2_and_orthogroup():
             for found in flips.values() for call in found} == {"add, sel"}
     assert set(_callers("_transpose")) == {
         "gf2.py:BitMatrix.transpose", "quadform.py:QuadraticForm.__init__",
-        "quadform.py:_pullback_bits", "orthogroup.py:_restoration_word"}
+        "quadform.py:_columns", "orthogroup.py:_restoration_word"}
     assert not _users({"diagonal"})
     assert _users({"_tables", "_lookup"}) <= {"gf2.py", "quadform.py"}
     assert _users({"_bil_bits", "_evaluate_bits"}) <= {"oracle.py"}
