@@ -9,11 +9,9 @@ form must be non-degenerate.  A reader that closes stdout early ends the
 command quietly with exit 0.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import formats, mcg, orthogroup, quadform
 from .gf2 import BitMatrix
@@ -23,11 +21,6 @@ from .orthogroup import DimensionGuardError, OrthogonalMap
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); remap to usage error
-        raise _UsageError(message)
 
 
 def _read(path: str) -> str:
@@ -63,8 +56,6 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_q(args) -> int:
-    if args.word is not None and args.epsilon is not None:  # a word's flips give epsilon
-        raise _UsageError("argument --epsilon: not allowed with argument --word")
     surface = formats.parse_surface(_read(args.surface))
     if args.word is not None:
         h = mcg.evaluate_word(surface, formats.parse_word(_read(args.word)))
@@ -95,8 +86,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_rh(args) -> int:
-    if len(args.surface) != 2:
-        raise _UsageError("check-rh needs exactly two --surface arguments")
     s1 = formats.parse_surface(_read(args.surface[0]))
     s2 = formats.parse_surface(_read(args.surface[1]))
     rh = mcg.regularly_homotopic(s1, s2)
@@ -132,62 +121,72 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="quadpoint", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+_SYNOPSIS = """\
+quadpoint arf --form FORM                      # prints: arf <0|1>
+quadpoint psi --form FORM --matrix M           # prints: psi <0|1>
+quadpoint q --surface S (--word W | --matrix M [--epsilon E])   # prints: Q <0|1>
+quadpoint decompose --form FORM --matrix M     # prints a decomposition
+quadpoint verify --form FORM --matrix M --decomposition D
+quadpoint check-rh --surface S1 --surface S2
+quadpoint enumerate --form FORM                # prints: order N, then elements
+quadpoint catalog --genus 1 --arf <0|1>        # torus generators with invariants
+"""
+# The grammar: each command's function and options.  An option must or may be given, is
+# given twice (a list), or is "either": exactly one of those is given.  A repeat keeps the last.
+_MUST, _MAY, _TWICE, _EITHER = "must", "may", "twice", "either"
+_COMMANDS = {
+    "arf": (_cmd_arf, {"--form": _MUST}),
+    "psi": (_cmd_psi, {"--form": _MUST, "--matrix": _MUST}),
+    "q": (_cmd_q, {"--surface": _MUST, "--word": _EITHER, "--matrix": _EITHER, "--epsilon": _MAY}),
+    "decompose": (_cmd_decompose, {"--form": _MUST, "--matrix": _MUST}),
+    "verify": (_cmd_verify, {"--form": _MUST, "--matrix": _MUST, "--decomposition": _MUST}),
+    "check-rh": (_cmd_check_rh, {"--surface": _TWICE}),
+    "enumerate": (_cmd_enumerate, {"--form": _MUST}),
+    "catalog": (_cmd_catalog, {"--genus": _MUST, "--arf": _MUST}),
+}
+_REFUSED = (("--word", "--matrix"), ("--word", "--epsilon"))  # a word's flips give epsilon
+_INTS, _BITS = ("--epsilon", "--arf", "--genus"), ("--epsilon", "--arf")  # _BITS take 0 or 1
 
-    p = sub.add_parser("arf", help="Arf invariant of a form")
-    p.add_argument("--form", required=True)
-    p.set_defaults(fn=_cmd_arf)
 
-    p = sub.add_parser("psi", help="rank parity of an orthogonal matrix")
-    p.add_argument("--form", required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=_cmd_psi)
+def _parse(argv) -> SimpleNamespace:
+    """fn and each option's value (None if not given); -h or --help anywhere asks for help."""
+    def need(ok, message: str) -> None:
+        if not ok:
+            raise _UsageError(message)
 
-    p = sub.add_parser("q", help="quadruple-point parity of a mapping class")
-    p.add_argument("--surface", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word")
-    group.add_argument("--matrix")
-    p.add_argument("--epsilon", type=int, choices=(0, 1))
-    p.set_defaults(fn=_cmd_q)
-
-    p = sub.add_parser("decompose", help="factor an orthogonal matrix into generators")
-    p.add_argument("--form", required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="recompose a decomposition and compare")
-    p.add_argument("--form", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--decomposition", required=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("check-rh", help="compare two immersed surfaces")
-    p.add_argument("--surface", action="append", required=True)
-    p.set_defaults(fn=_cmd_check_rh)
-
-    p = sub.add_parser("enumerate", help="list a small orthogonal group")
-    p.add_argument("--form", required=True)
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("catalog", help="torus generator matrices with invariants")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--arf", type=int, choices=(0, 1), required=True)
-    p.set_defaults(fn=_cmd_catalog)
-
-    return parser
+    if "-h" in argv or "--help" in argv:
+        return SimpleNamespace(fn=lambda args: print(_SYNOPSIS, end="") or 0)
+    need(argv, "the following arguments are required: command")
+    listed = ", ".join(map(repr, _COMMANDS))
+    need(argv[0] in _COMMANDS, f"argument command: invalid choice: {argv[0]!r} "
+         f"(choose from {listed})")
+    (fn, kinds), given, rest = _COMMANDS[argv[0]], {}, iter(argv[1:])
+    for arg in rest:
+        opt, eq, val = arg.partition("=")
+        need(opt in kinds, f"unrecognized arguments: {arg}")
+        val = val if eq else next(rest, "-")  # a missing value reads as an option
+        need(eq or val[:1] != "-" or val[1:].isdecimal(), f"argument {opt}: expected one argument")
+        if opt in _INTS:
+            need(val.removeprefix("-").isdecimal(), f"argument {opt}: invalid int value: {val!r}")
+            val = int(val)
+            need(opt not in _BITS or val in (0, 1),
+                 f"argument {opt}: invalid choice: {val} (choose from 0, 1)")
+        given[opt] = [*given.get(opt, ()), val] if kinds[opt] == _TWICE else val
+    for a, b in _REFUSED:
+        need(a not in given or b not in given, f"argument {b}: not allowed with argument {a}")
+    missing = [opt for opt, kind in kinds.items() if kind in (_MUST, _TWICE) and opt not in given]
+    need(not missing, f"the following arguments are required: {', '.join(missing)}")
+    either = [opt for opt, kind in kinds.items() if kind == _EITHER]
+    need(not either or set(either) & given.keys(),
+         f"one of the arguments {' '.join(either)} is required")
+    twice = [opt for opt, kind in kinds.items() if kind == _TWICE and len(given[opt]) != 2]
+    need(not twice, f"{argv[0]} needs exactly two {' '.join(twice)} arguments")
+    return SimpleNamespace(fn=fn, **{opt[2:]: given.get(opt) for opt in kinds})
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error usage: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

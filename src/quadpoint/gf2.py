@@ -375,7 +375,7 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     them).  The projection has kernel span(x, y), so the rest stay
     independent; an x with no partner lies in the radical.  The scan for
     the first nonzero slot, a negation of the whole block, is skipped when
-    slot 0 is not empty, as on the first pass.
+    slot 0 is not empty: only on the first pass, as each pair empties it.
     """
     dim = len(gram)
     stride = _stride(dim)

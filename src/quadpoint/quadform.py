@@ -78,10 +78,10 @@ def _images(f: QuadraticForm):
     strict upper triangle U of the Gram.  The rows that v picks sum to
     G v | (U^T v) << dim: the Gram is symmetric, so bit j of G v is
     B(e_j, v) and B(x, v) is parity(x & G v) for every x; and g(v) is
-    v^T U v + parity(v & basis_g).  One form's tables are kept: a workload
-    meets one form at a time, and q meets two, the surface's and the
-    intersection form, whose tables cost tens of microseconds to rebuild at
-    dimension 16.
+    v^T U v + parity(v & basis_g).  One form's tables are kept.  q --word
+    meets the surface's form, the intersection form (in MappingClass) and
+    the surface's again, so when the two differ it misses 3 times and hits
+    none; a rebuild costs about 30 microseconds at dimension 16.
     """
     dim = f.dim
     mask = (1 << dim) - 1

@@ -1,5 +1,7 @@
 """CLI behaviour: golden outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import re
 import subprocess
 import sys
@@ -307,3 +309,162 @@ def test_error_contract_under_fuzzing(invocation):
     else:
         assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
         assert re.match(r"^error [a-z-]+: ", res.stderr)
+
+
+def run_main(argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    from quadpoint import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def readme_synopsis():
+    """The sh block of the README's CLI section."""
+    text = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = text[text.index("## CLI"):]
+    start = block.index("```sh\n") + len("```sh\n")
+    return block[start:block.index("```", start)]
+
+
+COMMANDS_LISTED = ("'arf', 'psi', 'q', 'decompose', 'verify', 'check-rh', 'enumerate', "
+                   "'catalog'")
+FORM, SURFACE = str(DATA / "form_g1a0.txt"), str(DATA / "surf_g2a0.txt")
+WORD, MATRIX = str(DATA / "flip.word"), str(DATA / "u0.txt")
+# The usage errors of the argparse parser this grammar replaced, byte for byte.
+USAGE_ERRORS = {
+    "no-command": ([], "the following arguments are required: command"),
+    "unknown-command": (["nope"], "argument command: invalid choice: 'nope' "
+                                  f"(choose from {COMMANDS_LISTED})"),
+    "missing-option": (["arf"], "the following arguments are required: --form"),
+    "missing-options": (["catalog"], "the following arguments are required: --genus, --arf"),
+    "missing-value": (["arf", "--form"], "argument --form: expected one argument"),
+    "option-as-value": (["arf", "--form", "--form"], "argument --form: expected one argument"),
+    "unknown-option": (["arf", "--form", FORM, "--bogus"], "unrecognized arguments: --bogus"),
+    "unknown-argument": (["arf", "--form", FORM, "extra"], "unrecognized arguments: extra"),
+    "epsilon-2": (["q", "--surface", SURFACE, "--matrix", MATRIX, "--epsilon", "2"],
+                  "argument --epsilon: invalid choice: 2 (choose from 0, 1)"),
+    "genus-x": (["catalog", "--genus", "x", "--arf", "0"],
+                "argument --genus: invalid int value: 'x'"),
+    "arf=2": (["catalog", "--genus", "1", "--arf=2"],
+              "argument --arf: invalid choice: 2 (choose from 0, 1)"),
+    "word-and-matrix": (["q", "--surface", SURFACE, "--word", WORD, "--matrix", MATRIX],
+                        "argument --matrix: not allowed with argument --word"),
+    "neither-word-nor-matrix": (["q", "--surface", SURFACE],
+                                "one of the arguments --word --matrix is required"),
+    "q-missing-surface": (["q", "--word", WORD],
+                          "the following arguments are required: --surface"),
+    "word-then-epsilon": (["q", "--surface", SURFACE, "--word", WORD, "--epsilon", "0"],
+                          "argument --epsilon: not allowed with argument --word"),
+    "epsilon-then-word": (["q", "--surface", SURFACE, "--epsilon", "1", "--word", WORD],
+                          "argument --epsilon: not allowed with argument --word"),
+    "no-surface": (["check-rh"], "the following arguments are required: --surface"),
+    "one-surface": (["check-rh", "--surface", SURFACE],
+                    "check-rh needs exactly two --surface arguments"),
+    "three-surfaces": (["check-rh", *["--surface", SURFACE] * 3],
+                       "check-rh needs exactly two --surface arguments"),
+}
+# Where the table deliberately parts from argparse (CHANGES.md lists each).
+CHANGED_USAGE_ERRORS = {
+    "no-abbreviation": (["arf", "--fo", FORM], "unrecognized arguments: --fo"),
+    "unknown-before-missing": (["arf", "--bogus"], "unrecognized arguments: --bogus"),
+    "flag-as-command": (["-x"], f"argument command: invalid choice: '-x' "
+                                f"(choose from {COMMANDS_LISTED})"),
+    "int-with-space": (["catalog", "--genus", " 1", "--arf", "0"],
+                       "argument --genus: invalid int value: ' 1'"),
+    "dash-as-value": (["arf", "--form", "-"], "argument --form: expected one argument"),
+}
+
+
+@pytest.mark.parametrize("case", [*USAGE_ERRORS, *CHANGED_USAGE_ERRORS])
+def test_usage_error_messages(case):
+    argv, message = {**USAGE_ERRORS, **CHANGED_USAGE_ERRORS}[case]
+    assert run_main(argv) == (1, "", f"error usage: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["arf", "--form=data/form_g1a1.txt"],
+                                  ["catalog", "--genus=1", "--arf", "1"],
+                                  ["arf", "--form", "data/form_g1a0.txt",
+                                   "--form", "data/form_g1a1.txt"]])
+def test_equals_form_and_repeats(argv, monkeypatch):
+    """--name=value reads as --name value; a repeated single option keeps
+    its last value, as under argparse."""
+    monkeypatch.chdir(HERE)
+    name = "catalog_arf1" if argv[0] == "catalog" else "arf_g1a1"
+    assert run_main(argv) == (0, (GOLDEN / f"{name}.txt").read_text(), "")
+
+
+def test_help_prints_the_readme_synopsis():
+    res = run_cli(["--help"])
+    assert (res.returncode, res.stdout, res.stderr) == (0, readme_synopsis(), "")
+    for argv in (["q", "-h"], ["-h"], ["arf", "--form", "-h"], ["nope", "--help"]):
+        assert run_main(argv) == (0, readme_synopsis(), "")
+
+
+NAMES = ["arf", "psi", "q", "decompose", "verify", "check-rh", "enumerate", "catalog"]
+FLAGS = ["--form", "--matrix", "--surface", "--word", "--epsilon", "--decomposition",
+         "--genus", "--arf"]
+VALUES = ["0", "1", "2", "-1", "x", "", "01/10",
+          *(str(DATA / name) for name in ("form_g1a0.txt", "form_g2a0.txt", "form_deg4.txt",
+                                          "surf_g1a0.txt", "surf_g2a0.txt", "a4.word",
+                                          "flip.word", "swap2.txt", "u0.txt", "dec_swap.txt"))]
+UNKNOWN = ["--fo", "--bogus", "-x", "--", "-"]  # refused anywhere, even as a value
+HELP = ["-h", "--help"]
+# One valid command line per command, to edit.
+VALID = [[word if word.startswith("-") or "/" not in word else str(HERE / word)
+          for word in argv] for argv, _ in FUZZ_COMMANDS] + [
+    ["enumerate", "--form", FORM], ["catalog", "--genus", "1", "--arf", "0"],
+    ["q", "--surface", SURFACE, "--matrix", MATRIX, "--epsilon", "1"]]
+
+
+@st.composite
+def argvs(draw):
+    """Either a valid command line with up to three edits (one or two words
+    dropped, a token inserted, an option and its value joined by "="), or a command
+    name and tokens from the grammar; unknown and help flags are rarer."""
+    plain = st.sampled_from(NAMES + FLAGS + VALUES)
+    token = plain | st.builds("{}={}".format, st.sampled_from(FLAGS), plain)
+    any_token = st.one_of(token, token, token, st.sampled_from(UNKNOWN + HELP))
+    if draw(st.booleans()):
+        words = list(draw(st.sampled_from(VALID)))
+        for _ in range(draw(st.integers(0, 3))):
+            pos = draw(st.integers(0, len(words)))
+            edit = draw(st.sampled_from(["drop", "insert", "join"]))
+            if edit == "insert":
+                words.insert(pos, draw(any_token))
+            elif pos + 1 < len(words) and edit == "join":
+                words[pos:pos + 2] = [f"{words[pos]}={words[pos + 1]}"]
+            else:
+                del words[pos:pos + draw(st.integers(1, 2))]
+        return words
+    words = draw(st.lists(any_token, max_size=8))
+    head = draw(st.sampled_from(NAMES + ["nope"]))
+    return [head, *words] if draw(st.integers(0, 9)) else words
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+def test_argv_contract(argv):
+    """Any argv gives exit 0, 1 or 2 and lets no exception escape main.  A
+    help flag prints the synopsis; an unknown command, option or flag is a
+    usage error: exactly one "error usage:" line and exit 1."""
+    try:
+        code, out, err = run_main(argv)
+    except BaseException as exc:  # SystemExit included: main must return
+        pytest.fail(f"{argv!r} raised {exc!r}")
+    if set(argv) & set(HELP):
+        assert (code, out, err) == (0, readme_synopsis(), "")
+        return
+    assert code in (0, 1, 2)
+    if not argv or argv[0] not in NAMES or set(argv) & set(UNKNOWN):
+        assert code == 1 and err.startswith("error usage: ")
+    if code == 0:
+        assert err == ""
+    elif argv[:1] == ["verify"] and out == "verify fail\n":
+        assert (code, err) == (2, "")
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert re.match(r"^error [a-z-]+: ", err)
+        assert code == 1 or not err.startswith("error usage:")

@@ -11,8 +11,11 @@ from conftest import child_env
 
 PACKAGE = Path(quadpoint.__file__).resolve().parent
 # Modules a CLI process does not need at start-up: quadpoint.oracle (and the
-# random module it uses) serves enumerate alone and is imported there.
-NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "pathlib", "random", "quadpoint.oracle")
+# random module it uses) serves enumerate alone and is imported there, and the
+# command line is read by the table in quadpoint.cli, not by argparse (which
+# loads gettext and, on its first parser, locale).
+NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale",
+                  "random", "quadpoint.oracle")
 
 
 def _nodes():
@@ -64,10 +67,11 @@ def test_no_unused_imports():
                 if (name, alias) not in used]
 
 
-def _loaded(imports, modules):
-    """Which of the modules `import <imports>` loads.  The child runs with -S,
-    so that no site hook has loaded them first."""
-    code = (f"import sys, {imports}; "
+def _loaded(imports, modules, then=""):
+    """Which of the modules `import <imports>` loads, after the statement
+    then, if given, has run.  The child runs with -S, so that no site hook
+    has loaded them first."""
+    code = (f"import sys, {imports}\n{then}\n"
             f"print(*(m for m in {modules!r} if m in sys.modules))")
     res = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, env=child_env(), timeout=60)
@@ -80,11 +84,20 @@ def test_cli_import_set():
     assert _loaded("quadpoint.cli", NOT_AT_STARTUP) == []
 
 
+def test_cli_run_import_set():
+    """A whole command, read by the grammar table, loads none of
+    NOT_AT_STARTUP nor _locale: the child prints the command's line alone."""
+    form = Path(__file__).parent / "data" / "form_g1a0.txt"
+    run = f"quadpoint.cli.main(['arf', '--form', {str(form)!r}])"
+    assert _loaded("quadpoint.cli", NOT_AT_STARTUP + ("_locale",), run) == ["arf", "0"]
+
+
 def test_enumerate_import_set():
     """enumerate, which also imports quadpoint.oracle, loads none of the
     standard-library modules in NOT_AT_STARTUP but random."""
     assert _loaded("quadpoint.cli, quadpoint.oracle",
-                   ("dataclasses", "inspect", "typing", "pathlib")) == []
+                   ("dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext",
+                    "locale")) == []
 
 
 def test_caches_are_bounded():
