@@ -167,8 +167,12 @@ def _parse(argv) -> SimpleNamespace:
         val = val if eq else next(rest, "-")  # a missing value reads as an option
         need(eq or val[:1] != "-" or val[1:].isdecimal(), f"argument {opt}: expected one argument")
         if opt in _INTS:
-            need(val.removeprefix("-").isdecimal(), f"argument {opt}: invalid int value: {val!r}")
-            val = int(val)
+            invalid = f"argument {opt}: invalid int value: {val!r}"
+            need(val.removeprefix("-").isdecimal(), invalid)
+            try:
+                val = int(val)
+            except ValueError:  # past the interpreter's limit on digits
+                raise _UsageError(invalid) from None
             need(opt not in _BITS or val in (0, 1),
                  f"argument {opt}: invalid choice: {val} (choose from 0, 1)")
         given[opt] = [*given.get(opt, ()), val] if kinds[opt] == _TWICE else val

@@ -37,6 +37,13 @@ def _bits(token: str, what: str) -> BitVector:
         raise FormatError(f"{what} must be a 0/1 string, got {token!r}") from None
 
 
+def _row(token: str, width: int, what: str) -> BitVector:
+    v = _bits(token, what)
+    if v.length != width:
+        raise FormatError(f"{what} of length {v.length}, expected {width}")
+    return v
+
+
 def _int(token: str, what: str) -> int:
     try:
         value = int(token)
@@ -52,10 +59,7 @@ def _g_values(line: str, length: int) -> BitVector:
     parts = line.split()
     if not parts or parts[0] != "g" or len(parts) > 2:
         raise FormatError(f"expected 'g <bits>', got {line!r}")
-    g = _bits(parts[1] if len(parts) == 2 else "", "g values")
-    if g.length != length:
-        raise FormatError(f"g values of length {g.length}, expected {length}")
-    return g
+    return _row(parts[1] if len(parts) == 2 else "", length, "g values")
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -69,13 +73,8 @@ def parse_matrix(text: str) -> BitMatrix:
     cols = _int(header[1], "column count")
     if len(lines) != 1 + rows:
         raise FormatError(f"expected {rows} matrix rows, got {len(lines) - 1}")
-    data = []
-    for ln in lines[1:]:
-        v = _bits(ln, "matrix row")
-        if v.length != cols:
-            raise FormatError(f"matrix row of length {v.length}, expected {cols}")
-        data.append(v.bits)
-    return BitMatrix(rows, cols, tuple(data))
+    data = tuple(_row(ln, cols, "matrix row").bits for ln in lines[1:])
+    return BitMatrix(rows, cols, data)
 
 
 def dump_matrix(m: BitMatrix) -> str:
@@ -93,13 +92,8 @@ def parse_form(text: str) -> QuadraticForm:
     g = _g_values(lines[1], dim)
     if len(lines) != 2 + dim:
         raise FormatError(f"expected {dim} Gram rows, got {len(lines) - 2}")
-    data = []
-    for ln in lines[2:]:
-        v = _bits(ln, "Gram row")
-        if v.length != dim:
-            raise FormatError(f"Gram row of length {v.length}, expected {dim}")
-        data.append(v.bits)
-    return QuadraticForm(dim, BitMatrix(dim, dim, tuple(data)), g)
+    data = tuple(_row(ln, dim, "Gram row").bits for ln in lines[2:])
+    return QuadraticForm(dim, BitMatrix(dim, dim, data), g)
 
 
 def dump_form(f: QuadraticForm) -> str:
@@ -116,10 +110,6 @@ def parse_surface(text: str) -> SurfacePinkallForm:
         raise FormatError(f"expected 'genus <n>', got {lines[0]!r}")
     genus = _int(head[1], "genus")
     return SurfacePinkallForm.from_g_values(genus, _g_values(lines[1], 2 * genus))
-
-
-def dump_surface(s: SurfacePinkallForm) -> str:
-    return f"genus {s.genus}\n" + f"g {s.form.basis_g.to01()}".rstrip() + "\n"
 
 
 _VECTOR_TOKENS = {"twist": twist, "square": square}
@@ -144,16 +134,6 @@ def parse_word(text: str) -> list[Token]:
         else:
             raise FormatError(f"unknown word token {kind!r}")
     return tokens
-
-
-def dump_word(word) -> str:
-    out = []
-    for token in word:
-        if token.vector is not None:
-            out.append(f"{token.kind} {token.vector.to01()}")
-        else:
-            out.append(token.kind)
-    return "\n".join(out) + ("\n" if out else "")
 
 
 def parse_decomposition(text: str) -> tuple[int, list[BitVector]]:

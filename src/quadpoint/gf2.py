@@ -373,9 +373,7 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     alpha beta^T, the congruence by the projection, with no parity fold.  x
     and y become 0, and the zero slots below x are shifted out (ix counts
     them).  The projection has kernel span(x, y), so the rest stay
-    independent; an x with no partner lies in the radical.  The scan for
-    the first nonzero slot, a negation of the whole block, is skipped when
-    slot 0 is not empty: only on the first pass, as each pair empties it.
+    independent; an x with no partner lies in the radical.
     """
     dim = len(gram)
     stride = _stride(dim)
@@ -383,9 +381,8 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     z, m, ix = _identity_block(dim, stride), _pack(gram, stride), 0
     pairs = []
     while z:
-        if not z & mask:
-            skip = ((z & -z).bit_length() - 1) // stride
-            z, m, ix = z >> skip * stride, m >> skip * stride, ix + skip
+        skip = ((z & -z).bit_length() - 1) // stride
+        z, m, ix = z >> skip * stride, m >> skip * stride, ix + skip
         row_x = m & mask
         if not row_x:
             raise ValueError("degenerate form")

@@ -43,9 +43,7 @@ class SurfacePinkallForm(_Value):
         object.__setattr__(self, "form", form)
 
     @classmethod
-    def from_g_values(cls, genus: int, g: BitVector | str) -> "SurfacePinkallForm":
-        if isinstance(g, str):
-            g = BitVector.from_string(g)
+    def from_g_values(cls, genus: int, g: BitVector) -> "SurfacePinkallForm":
         return cls(genus, QuadraticForm(2 * genus, standard_gram(genus), g))
 
     @classmethod

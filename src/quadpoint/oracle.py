@@ -81,6 +81,7 @@ def preserves_pairwise(f: QuadraticForm, data) -> bool:
 
 def filter_full_linear_group(f: QuadraticForm) -> GroupTable:
     """All invertible matrices preserving f, by scanning the full matrix space."""
+    _require_nondegenerate(f)
     dim = f.dim
     _check_dim(dim, 4, "full linear group filtering")
     mask = (1 << dim) - 1

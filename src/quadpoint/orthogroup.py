@@ -9,7 +9,7 @@ where transvections generate only an index-2 subgroup.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from functools import lru_cache
 
 from .gf2 import (
@@ -51,6 +51,7 @@ from .quadform import (
 
 def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
     """Matrix of x -> x + B(x,a) a; orthogonal only when g(a) = 1 or a = 0."""
+    _require_nondegenerate(f)
     dim = f.dim
     if a.length != dim:
         raise ValueError("length mismatch")
@@ -205,11 +206,10 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     e_i + e_j reads its p off bits i and j of H.  Only the escape, whose
     vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w).
 
-    The escape works at the rank of W: the rows G w of an echelon basis of
-    G W come off H in one block pass each, which clears the lowest bit of
-    the first nonzero slot from every slot; Fix(T) = W^perp is their
-    kernel, built only as far as _find_flip reads it; and _outside_span
-    tests every candidate for v at once by parities against the rows.
+    The escape works at the rank of W: the slots of H span G W, so their
+    reduced echelon form has rank(W) rows, Fix(T) = W^perp is its kernel,
+    built only as far as _find_flip reads it, and _outside_span tests every
+    candidate for v at once by parities against its rows.
 
     W and H start from _columns, the columns c_j of m with the Gram images
     and g-values that OrthogonalMap's certificate looked up: slot j of W is
@@ -258,19 +258,14 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
             push((w_block >> i * stride ^ w_block >> j * stride) & mask,
                  hcols[i] ^ hcols[j], (h_block >> i ^ h_block >> j) & ones)
             continue
-        rows, rest = [], h_block
-        while rest:
-            low = (rest & -rest).bit_length() - 1
-            row = rest >> low - low % stride & mask
-            rest ^= (rest >> low % stride & ones) * row
-            rows.append(row)
-        c = (_find_flip(f, _kernel(_echelon(rows), dim))
+        fixed = _echelon(hcols)
+        c = (_find_flip(f, _kernel(fixed, dim))
              or _find_flip(f, [1 << k for k in range(dim)]))
         gc = gram_g(c)[0]
         rhs = 1 << dim
         system = _echelon([gc | rhs, _combine(hcols, c)])  # the second row is G (T + I)c
         s0 = _solution(system, rhs)
-        v = None if s0 is None else _outside_span(rows, system, s0, c, dim)
+        v = None if s0 is None else _outside_span(fixed.values(), system, s0, c, dim)
         if v is None:
             raise ValueError("restoration found no escape from a dead end")
         w = _combine(_unpack(w_block, stride, dim), v) ^ c
@@ -279,7 +274,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     return [BitVector(dim, c) for c in reversed(applied)]
 
 
-def _outside_span(rows: list[int], system: dict[int, int], s0: int, c: int,
+def _outside_span(rows: Collection[int], system: dict[int, int], s0: int, c: int,
                   dim: int) -> int | None:
     """The first of s0, then s0 + k_j for the kernel vectors k_j of the
     system in column order, that lies outside span(P, c), where P is the

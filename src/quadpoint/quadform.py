@@ -214,6 +214,7 @@ def direct_sum(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
 
 def pullback(f: QuadraticForm, p: BitMatrix) -> QuadraticForm:
     """The form x -> g(p x): Gram becomes p^T gram p, basis values g(p e_i)."""
+    _require_nondegenerate(f)
     if p.rows != f.dim or p.cols != f.dim:
         raise ValueError("change of basis must be square of matching dimension")
     gram, gbits = _pullback_bits(f, p.data)

@@ -336,6 +336,12 @@ def dim4_arf0_forms():
 
 STANDARD_CASES = [(1, 0), (1, 1), (2, 0), (2, 1)]
 
+# Two degenerate forms: an odd dimension, and a radical beside a hyperbolic pair.
+DEG3 = QuadraticForm(3, BitMatrix.from_strings(["010", "101", "010"]),
+                     BitVector.from_string("111"))
+DEG4 = QuadraticForm(4, BitMatrix.from_strings(["0100", "1000", "0000", "0000"]),
+                     BitVector.from_string("1000"))
+
 
 @pytest.fixture(scope="session")
 def small_groups():

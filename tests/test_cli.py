@@ -2,16 +2,18 @@
 
 import contextlib
 import io
+import random
 import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import child_env
+from conftest import bit_product, child_env, rref
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -223,6 +225,104 @@ def test_decompose_verify_random(tmp_path, genus, arf_value, seed):
     assert check.stdout == "verify ok\n"
 
 
+def _rank_plus_identity(rows):
+    """rank(M + Id) of a square matrix, by conftest's reference elimination."""
+    return len(rref([r ^ 1 << i for i, r in enumerate(rows)], len(rows))[1])
+
+
+def _twist_rows(gram, c):
+    """Rows of x -> x + B(x, c) c: row i is e_i, plus G c when c_i = 1."""
+    gc = sum(((r & c).bit_count() & 1) << i for i, r in enumerate(gram))
+    return [1 << i ^ (gc if c >> i & 1 else 0) for i in range(len(gram))]
+
+
+def test_cli_answers(tmp_path):
+    """psi, q --matrix, q --word and decompose then verify, through cli.main,
+    on seeded forms in random bases and surfaces at dims 2 to 16, maps of
+    both length parities and non-members.  Each answer is the library's and
+    agrees with rank(M + Id) mod 2 by reference elimination; a non-member
+    (by the pairwise referee) is an error with exit 2."""
+    from quadpoint import mcg
+    from quadpoint.formats import dump_decomposition, dump_form, dump_matrix, parse_word
+    from quadpoint.gf2 import BitMatrix, BitVector
+    from quadpoint.oracle import preserves_pairwise, random_orthogonal
+    from quadpoint.orthogroup import OrthogonalMap, decompose, rank_parity
+    from quadpoint.quadform import pullback, standard_form
+
+    rng, seen = random.Random(26), Counter()
+    form_file, surface_file = tmp_path / "form.txt", tmp_path / "surface.txt"
+    matrix_file, word_file, dec_file = (tmp_path / name for name in ("m.txt", "w.txt", "d.txt"))
+    for trial in range(48):
+        genus = 1 + trial % 8
+        dim = 2 * genus
+        while True:
+            p = [rng.getrandbits(dim) for _ in range(dim)]
+            if len(rref(p, dim)[1]) == dim:
+                break
+        f = pullback(standard_form(genus, rng.randint(0, 1)), BitMatrix(dim, dim, tuple(p)))
+        length = rng.randint(0, 2 * dim)
+        m = random_orthogonal(f, trial, length).matrix
+        if trial % 4 == 3:  # invertible, and almost never orthogonal
+            m = BitMatrix(dim, dim, tuple(p))
+        member = preserves_pairwise(f, m.data)
+        assert member or trial % 4 == 3
+        form_file.write_text(dump_form(f))
+        matrix_file.write_text(dump_matrix(m))
+        psi = run_main(["psi", "--form", str(form_file), "--matrix", str(matrix_file)])
+        dec = run_main(["decompose", "--form", str(form_file), "--matrix", str(matrix_file)])
+        seen["psi", member] += 1
+        if not member:
+            error = (2, "", "error precondition: matrix does not preserve the quadratic form\n")
+            assert psi == dec == error
+            continue
+        answer = _rank_plus_identity(m.data) & 1
+        assert answer == rank_parity(OrthogonalMap(f, m))
+        assert answer == length & 1 or trial % 4 == 3
+        assert psi == (0, f"psi {answer}\n", "")
+        u_flag, word = decompose(OrthogonalMap(f, m))
+        assert dec == (0, dump_decomposition(u_flag, word), "")
+        assert len(word) & 1 == answer
+        dec_file.write_text(dec[1])
+        verify = ["verify", "--form", str(form_file), "--matrix", str(matrix_file),
+                  "--decomposition", str(dec_file)]
+        assert run_main(verify) == (0, "verify ok\n", "")
+        if word:  # one transvection fewer is another map
+            dec_file.write_text(dump_decomposition(u_flag, word[1:]))
+            assert run_main(verify) == (2, "verify fail\n", "")
+
+        s = mcg.SurfacePinkallForm.from_g_values(genus, BitVector(dim, rng.getrandbits(dim)))
+        gram = s.form.gram.data
+        surface_file.write_text(f"genus {genus}\ng {s.form.basis_g.to01()}\n")
+        action = random_orthogonal(s.form, trial, rng.randint(0, 2 * dim)).matrix.data
+        if trial % 3 == 2:  # a twist along a random vector: a member when g(c) = 1
+            action = bit_product(_twist_rows(gram, rng.getrandbits(dim) | 1), action)
+        tokens = [(rng.choice(["twist", "twist", "square", "flip"]), rng.getrandbits(dim))
+                  for _ in range(rng.randint(0, 12))]
+        word_file.write_text("".join("flip\n" if kind == "flip" else
+                                     f"{kind} {BitVector(dim, c).to01()}\n" for kind, c in tokens))
+        product = [1 << i for i in range(dim)]  # squares act trivially on homology
+        for kind, c in tokens:
+            if kind == "twist":
+                product = bit_product(_twist_rows(gram, c), product)
+        flips = sum(kind == "flip" for kind, _ in tokens) & 1
+        cases = [(["--matrix", "/".join(BitMatrix(dim, dim, tuple(action)).to01_rows()),
+                   "--epsilon", str(trial & 1)], action, trial & 1),
+                 (["--word", str(word_file)], product, flips)]
+        for extra, rows, eps in cases:
+            got = run_main(["q", "--surface", str(surface_file), *extra])
+            member = preserves_pairwise(s.form, rows)
+            seen[extra[0], member] += 1
+            if not member:
+                assert got[0] == 2 and got[2].startswith("error membership: ")
+                continue
+            answer = (_rank_plus_identity(rows) + (genus + 1) * eps) & 1
+            h = (mcg.evaluate_word(s, parse_word(word_file.read_text())) if extra[0] == "--word"
+                 else mcg.MappingClass(BitMatrix(dim, dim, tuple(rows)), eps))
+            assert got == (0, f"Q {answer}\n", "")
+            assert mcg.quadruple_point_invariant(s, h) == answer
+    assert len(seen) == 6  # members and non-members of every command
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     from quadpoint.formats import dump_form
     from quadpoint.quadform import standard_form
@@ -333,6 +433,7 @@ COMMANDS_LISTED = ("'arf', 'psi', 'q', 'decompose', 'verify', 'check-rh', 'enume
                    "'catalog'")
 FORM, SURFACE = str(DATA / "form_g1a0.txt"), str(DATA / "surf_g2a0.txt")
 WORD, MATRIX = str(DATA / "flip.word"), str(DATA / "u0.txt")
+BIG = "1" * 5000  # past the interpreter's 4,300-digit limit on int()
 # The usage errors of the argparse parser this grammar replaced, byte for byte.
 USAGE_ERRORS = {
     "no-command": ([], "the following arguments are required: command"),
@@ -348,6 +449,8 @@ USAGE_ERRORS = {
                   "argument --epsilon: invalid choice: 2 (choose from 0, 1)"),
     "genus-x": (["catalog", "--genus", "x", "--arf", "0"],
                 "argument --genus: invalid int value: 'x'"),
+    "genus-oversized": (["catalog", "--genus", BIG, "--arf", "0"],
+                        f"argument --genus: invalid int value: {BIG!r}"),
     "arf=2": (["catalog", "--genus", "1", "--arf=2"],
               "argument --arf: invalid choice: 2 (choose from 0, 1)"),
     "word-and-matrix": (["q", "--surface", SURFACE, "--word", WORD, "--matrix", MATRIX],
@@ -406,7 +509,7 @@ def test_help_prints_the_readme_synopsis():
 NAMES = ["arf", "psi", "q", "decompose", "verify", "check-rh", "enumerate", "catalog"]
 FLAGS = ["--form", "--matrix", "--surface", "--word", "--epsilon", "--decomposition",
          "--genus", "--arf"]
-VALUES = ["0", "1", "2", "-1", "x", "", "01/10",
+VALUES = ["0", "1", "2", "-1", "x", "", "01/10", BIG,
           *(str(DATA / name) for name in ("form_g1a0.txt", "form_g2a0.txt", "form_deg4.txt",
                                           "surf_g1a0.txt", "surf_g2a0.txt", "a4.word",
                                           "flip.word", "swap2.txt", "u0.txt", "dec_swap.txt"))]
@@ -444,12 +547,22 @@ def argvs(draw):
     return [head, *words] if draw(st.integers(0, 9)) else words
 
 
+def _int_option_given(argv, value):
+    """Whether some int option is given this value, as "--opt value" or "--opt=value"."""
+    return any(f"{opt}={value}" in argv or any(a == opt and b == value
+                                               for a, b in zip(argv, argv[1:]))
+               for opt in ("--genus", "--arf", "--epsilon"))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argvs())
+@example(["catalog", "--genus", BIG, "--arf", "0"])
+@example(["q", "--surface", SURFACE, "--matrix", MATRIX, f"--epsilon={BIG}"])
 def test_argv_contract(argv):
     """Any argv gives exit 0, 1 or 2 and lets no exception escape main.  A
     help flag prints the synopsis; an unknown command, option or flag is a
-    usage error: exactly one "error usage:" line and exit 1."""
+    usage error: exactly one "error usage:" line and exit 1; so is an int
+    option given more digits than int() converts."""
     try:
         code, out, err = run_main(argv)
     except BaseException as exc:  # SystemExit included: main must return
@@ -458,7 +571,8 @@ def test_argv_contract(argv):
         assert (code, out, err) == (0, readme_synopsis(), "")
         return
     assert code in (0, 1, 2)
-    if not argv or argv[0] not in NAMES or set(argv) & set(UNKNOWN):
+    if not argv or argv[0] not in NAMES or set(argv) & set(UNKNOWN) \
+            or _int_option_given(argv, BIG):
         assert code == 1 and err.startswith("error usage: ")
     if code == 0:
         assert err == ""

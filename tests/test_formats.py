@@ -1,4 +1,6 @@
-"""Text format round trips and strictness."""
+"""Text format round trips, parses of literal text, and strictness."""
+
+import re
 
 import pytest
 
@@ -7,8 +9,6 @@ from quadpoint.formats import (
     dump_decomposition,
     dump_form,
     dump_matrix,
-    dump_surface,
-    dump_word,
     parse_decomposition,
     parse_form,
     parse_inline_matrix,
@@ -50,21 +50,36 @@ def test_form_semantic_errors_are_value_errors():
 
 
 def test_surface_round_trip():
-    for genus, arf_value in [(0, 0), (1, 0), (2, 1)]:
-        s = SurfacePinkallForm.standard(genus, arf_value)
-        assert parse_surface(dump_surface(s)) == s
+    """The standard surfaces from their text, g on a_1, b_1, ..., a_n, b_n."""
+    for text, genus, arf_value in [("genus 1\ng 00\n", 1, 0), ("genus 2\ng 1100\n", 2, 1)]:
+        assert parse_surface(text) == SurfacePinkallForm.standard(genus, arf_value)
+    assert parse_surface("genus 2\ng 0011\n") == SurfacePinkallForm.from_g_values(
+        2, BitVector.from_string("0011"))
 
 
 def test_surface_genus_zero_text():
-    assert dump_surface(SurfacePinkallForm.standard(0, 0)) == "genus 0\ng\n"
+    assert parse_surface("genus 0\ng\n") == SurfacePinkallForm.standard(0, 0)
+    assert parse_surface("genus 0\ng \n") == SurfacePinkallForm.standard(0, 0)
 
 
 def test_word_round_trip():
-    word = [twist(BitVector.from_string("11")), FLIP]
-    text = dump_word(word)
-    assert text == "twist 11\nflip\n"
-    assert parse_word(text) == word
+    assert parse_word("twist 11\nflip\n") == [twist(BitVector.from_string("11")), FLIP]
+    assert parse_word("\n  \ntwist 11\n\n") == [twist(BitVector.from_string("11"))]
     assert parse_word("") == []
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_matrix, "2 3\n011\n01\n", "matrix row of length 2, expected 3"),
+    (parse_form, "form 2\ng 00\n01\n1\n", "Gram row of length 1, expected 2"),
+    (parse_form, "form 2\ng 000\n01\n10\n", "g values of length 3, expected 2"),
+    (parse_surface, "genus 1\ng 0\n", "g values of length 1, expected 2"),
+    (parse_surface, "genus 1\ng\n", "g values of length 0, expected 2"),
+    (parse_surface, "genus 1\ng 0x\n", "g values must be a 0/1 string, got '0x'"),
+])
+def test_row_width_messages(parse, text, message):
+    """Every fixed-width row names what it is, its length and the width."""
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def test_word_strictness():
@@ -79,8 +94,7 @@ def test_word_strictness():
 def test_word_every_token_kind():
     word = [twist(BitVector.from_string("10")), square(BitVector.from_string("01")),
             FLIP, UMAP]
-    text = "twist 10\nsquare 01\nflip\numap\n"
-    assert dump_word(word) == text and parse_word(text) == word
+    assert parse_word("twist 10\nsquare 01\nflip\numap\n") == word
     for kind in ("flip", "umap"):
         with pytest.raises(FormatError, match=f"^'{kind}' takes no argument, got '{kind} 1'$"):
             parse_word(f"{kind} 1\n")

@@ -75,7 +75,7 @@ class TestSurfaceType:
             SurfacePinkallForm(2, f)
 
     def test_from_g_values(self):
-        s = SurfacePinkallForm.from_g_values(2, "1100")
+        s = SurfacePinkallForm.from_g_values(2, BitVector.from_string("1100"))
         assert s.form == direct_sum(standard_form(1, 1), standard_form(1, 0))
 
 
@@ -256,8 +256,8 @@ class TestImmersionComparisons:
         assert not equivalent_up_to_diffeomorphism(S10, S11)
 
     def test_equal_arf_distinct_forms(self):
-        s_a = SurfacePinkallForm.from_g_values(2, "1100")
-        s_b = SurfacePinkallForm.from_g_values(2, "0011")
+        s_a = SurfacePinkallForm.from_g_values(2, BitVector.from_string("1100"))
+        s_b = SurfacePinkallForm.from_g_values(2, BitVector.from_string("0011"))
         assert not regularly_homotopic(s_a, s_b)
         assert equivalent_up_to_diffeomorphism(s_a, s_b)
 

@@ -27,6 +27,7 @@ from quadpoint.oracle import (
     _bil_bits,
     _evaluate_bits,
     democratic_arf,
+    filter_full_linear_group,
     preserves_pairwise,
     random_orthogonal,
 )
@@ -61,6 +62,8 @@ from quadpoint.quadform import (
 )
 
 from conftest import (
+    DEG3,
+    DEG4,
     all_vectors,
     bit_matrices,
     bit_product,
@@ -239,12 +242,9 @@ def test_flip_is_the_transvection_on_every_column(dim):
 class TestDegenerateForms:
     """Every entry point that takes a form rejects a degenerate one."""
 
-    DEG3 = QuadraticForm(3, BitMatrix.from_strings(["010", "101", "010"]),
-                         BitVector.from_string("111"))
-    DEG4 = QuadraticForm(4, BitMatrix.from_strings(["0100", "1000", "0000", "0000"]),
-                         BitVector.from_string("1000"))
+    ZERO2 = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
 
-    @pytest.mark.parametrize("f", [DEG3, DEG4])
+    @pytest.mark.parametrize("f", [DEG3, DEG4, ZERO2])
     def test_rejected(self, f):
         """With ValueError("degenerate form"), never a StopIteration."""
         identity = BitMatrix.identity(f.dim)
@@ -257,7 +257,10 @@ class TestDegenerateForms:
                      lambda: arf(f),
                      lambda: find_connector(f, [], e0, e0),
                      lambda: random_orthogonal(f, 0, 1),
-                     lambda: democratic_arf(f)):
+                     lambda: democratic_arf(f),
+                     lambda: filter_full_linear_group(f),
+                     lambda: transvection_matrix(f, e0),
+                     lambda: pullback(f, identity)):
             with pytest.raises(ValueError, match="^degenerate form$"):
                 call()
 
