@@ -10,17 +10,9 @@ h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, BitVector, _product, _Value
+from .gf2 import BitMatrix, BitVector, _product, _Value, multiply
 from .orthogroup import _swap_steps, rank_parity
-from .quadform import (
-    QuadraticForm,
-    _images,
-    _preserves,
-    _pullback_bits,
-    arf,
-    standard_form,
-    standard_gram,
-)
+from .quadform import QuadraticForm, _columns, _images, arf, standard_form, standard_gram
 
 
 class NotRegularlyHomotopicError(ValueError):
@@ -73,8 +65,9 @@ class MappingClass(_Value):
         m = self.action
         if not m.is_square() or m.rows % 2:
             raise ValueError("action must be square of even dimension")
-        intersection = standard_form(m.rows // 2, 0)
-        if _pullback_bits(intersection, m.data)[0] != intersection.gram.data:
+        # J swaps each basis pair, so row k of J m is row k ^ 1 of m.
+        jm = BitMatrix(m.rows, m.rows, tuple(m.data[k ^ 1] for k in range(m.rows)))
+        if multiply(m.transpose(), jm) != standard_gram(m.rows // 2):
             raise ValueError("action must preserve the intersection form")
 
 
@@ -131,14 +124,15 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
 
 
 def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
-    """Whether the class preserves the surface's quadratic form (_preserves).
+    """Whether the class preserves the surface's quadratic form.
 
     The class preserves the intersection form, the form's Gram, by
-    construction, so only the g half of the certificate can fail.
+    construction, so only the g half of the certificate can fail: g(m e_i)
+    = g(e_i) for every i, read off _columns.
     """
     if h.action.rows != s.form.dim:
         raise ValueError("dimension mismatch")
-    return _preserves(s.form, h.action.data)
+    return _columns(s.form, h.action.data)[2] == s.form.basis_g.bits
 
 
 def _parity(s: SurfacePinkallForm, h: MappingClass, not_member: ValueError) -> int:

@@ -45,7 +45,6 @@ from .quadform import (
     _require_nondegenerate,
     arf,
     evaluate,
-    is_nondegenerate,
 )
 
 
@@ -125,7 +124,8 @@ class UMapPartition(_Value):
 def umap_partition(f: QuadraticForm) -> UMapPartition:
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
-    if not is_nondegenerate(f) or arf(f) != 0:
+    _require_nondegenerate(f)
+    if arf(f) != 0:
         raise ValueError("the partition exists only for Arf invariant 0")
     gram_g = _images(f)
     ones = [BitVector(4, v) for v in range(1, 16) if gram_g(v)[1]]

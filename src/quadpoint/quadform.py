@@ -78,10 +78,7 @@ def _images(f: QuadraticForm):
     strict upper triangle U of the Gram.  The rows that v picks sum to
     G v | (U^T v) << dim: the Gram is symmetric, so bit j of G v is
     B(e_j, v) and B(x, v) is parity(x & G v) for every x; and g(v) is
-    v^T U v + parity(v & basis_g).  One form's tables are kept.  q --word
-    meets the surface's form, the intersection form (in MappingClass) and
-    the surface's again, so when the two differ it misses 3 times and hits
-    none; a rebuild costs about 30 microseconds at dimension 16.
+    v^T U v + parity(v & basis_g).  One form's tables are kept.
     """
     dim = f.dim
     mask = (1 << dim) - 1
@@ -102,7 +99,7 @@ def _columns(f: QuadraticForm, rows: tuple[int, ...]) -> tuple[tuple[int, ...], 
 
     One matrix is kept, as _images keeps one form: OrthogonalMap certifies m
     through _pullback_bits and decompose's restoration reads the same columns
-    one call later.
+    one call later; mcg.in_orthogonal_mcg reads the g-values alone.
     """
     gram_g = _images(f)
     cols = tuple(_transpose(rows, f.dim))
@@ -222,12 +219,8 @@ def pullback(f: QuadraticForm, p: BitMatrix) -> QuadraticForm:
 
 
 def standard_gram(genus: int) -> BitMatrix:
-    """Block-diagonal hyperbolic Gram on basis a_1,b_1,...,a_n,b_n."""
-    rows = []
-    for i in range(genus):
-        rows.append(1 << (2 * i + 1))
-        rows.append(1 << (2 * i))
-    return BitMatrix(2 * genus, 2 * genus, tuple(rows))
+    """Block-diagonal hyperbolic Gram on basis a_1,b_1,...,a_n,b_n: row k is e_(k^1)."""
+    return BitMatrix(2 * genus, 2 * genus, tuple(1 << (k ^ 1) for k in range(2 * genus)))
 
 
 def standard_form(genus: int, arf_value: int) -> QuadraticForm:

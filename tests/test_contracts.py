@@ -11,6 +11,7 @@ is listed.
 import importlib
 import inspect
 import pkgutil
+import random
 import re
 
 import pytest
@@ -18,8 +19,9 @@ import pytest
 import quadpoint
 from quadpoint import mcg, oracle, orthogroup, quadform
 from quadpoint.gf2 import BitMatrix, BitVector
+from quadpoint.quadform import QuadraticForm
 
-from conftest import DEG3, DEG4
+from conftest import DEG3, DEG4, random_gram, rref
 
 DEGENERATE = "degenerate form"
 
@@ -45,11 +47,9 @@ REJECTS = {
     "orthogroup.transvection": (
         lambda f: orthogroup.transvection(f, BitVector.zero(f.dim)), DEGENERATE, DEGENERATE),
     "orthogroup.umap_partition": (orthogroup.umap_partition,
-                                  "the partition exists only in dimension 4",
-                                  "the partition exists only for Arf invariant 0"),
+                                  "the partition exists only in dimension 4", DEGENERATE),
     "orthogroup.canonical_umap": (orthogroup.canonical_umap,
-                                  "the partition exists only in dimension 4",
-                                  "the partition exists only for Arf invariant 0"),
+                                  "the partition exists only in dimension 4", DEGENERATE),
     "orthogroup.recompose": (lambda f: orthogroup.recompose(f, 0, []), DEGENERATE, DEGENERATE),
     "orthogroup.enumerate_group": (orthogroup.enumerate_group, DEGENERATE, DEGENERATE),
     "mcg.SurfacePinkallForm": (lambda f: mcg.SurfacePinkallForm(f.dim // 2, f),
@@ -60,6 +60,20 @@ REJECTS = {
     "oracle.democratic_arf": (oracle.democratic_arf, DEGENERATE, DEGENERATE),
     "oracle.random_orthogonal": (lambda f: oracle.random_orthogonal(f, 0, 1),
                                  DEGENERATE, DEGENERATE),
+}
+# name: call on a form f with a vector or matrix of length n != f.dim, or a
+# genus n too large, for the REJECTS entry points that take one beside the form.
+MISMATCHED = {
+    "quadform.pullback": lambda f, n: quadform.pullback(f, BitMatrix.identity(n)),
+    "quadform.find_connector": lambda f, n: quadform.find_connector(
+        f, [], BitVector.basis(n, 0), BitVector.basis(n, 0)),
+    "orthogroup.transvection_matrix": lambda f, n: orthogroup.transvection_matrix(
+        f, BitVector.basis(n, 0)),
+    "orthogroup.is_orthogonal": lambda f, n: orthogroup.is_orthogonal(f, BitMatrix.identity(n)),
+    "orthogroup.OrthogonalMap": lambda f, n: orthogroup.OrthogonalMap(f, BitMatrix.identity(n)),
+    "orthogroup.transvection": lambda f, n: orthogroup.transvection(f, BitVector.basis(n, 0)),
+    "orthogroup.recompose": lambda f, n: orthogroup.recompose(f, 0, [BitVector.zero(n)]),
+    "mcg.SurfacePinkallForm": lambda f, n: mcg.SurfacePinkallForm(f.dim // 2 + n, f),
 }
 SURFACE = "its SurfacePinkallForm carries the standard Gram, which is non-degenerate"
 FORM_AGNOSTIC = {
@@ -121,3 +135,39 @@ def test_rejects_degenerate_forms(name):
     for f, message in zip((DEG3, DEG4), messages):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(f)
+
+
+def _random_form(rng, dim, degenerate):
+    """A seeded random form of this dimension whose Gram has rank below dim
+    (degenerate) or equal to it, with random basis values."""
+    while True:
+        gram = random_gram(rng, dim)
+        if (len(rref(gram, dim)[1]) < dim) == degenerate:
+            return QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)),
+                                 BitVector(dim, rng.getrandbits(dim)))
+
+
+def test_contract_holds_on_seeded_inputs():
+    """Beyond DEG3 and DEG4: random degenerate forms of dimensions 1-10, odd
+    ones included, and vectors, matrices or genera of a mismatched size
+    beside degenerate and non-degenerate forms.  Every call raises
+    ValueError (DimensionGuardError is one): it never returns a result and
+    never raises another exception."""
+    assert MISMATCHED.keys() <= REJECTS.keys()
+    rng = random.Random(59)
+    calls = []
+    for _ in range(150):
+        dim = rng.randint(1, 10)
+        f = _random_form(rng, dim, degenerate=True)
+        calls += [(name, f, lambda call=call, f=f: call(f))
+                  for name, (call, *_) in REJECTS.items()]
+        for g in (f, _random_form(rng, 2 * rng.randint(0, 4), degenerate=False)):
+            n = rng.choice([k for k in range(1, 11) if k != g.dim])
+            calls += [(name, g, lambda call=call, g=g, n=n: call(g, n))
+                      for name, call in MISMATCHED.items()]
+    for name, f, call in calls:
+        try:
+            result = call()
+        except ValueError:
+            continue
+        pytest.fail(f"{name} returned {result!r} on {f!r}")

@@ -25,9 +25,9 @@ from quadpoint.mcg import (
     square,
     twist,
 )
-from quadpoint.oracle import _bil_bits, filter_full_linear_group
+from quadpoint.oracle import _bil_bits, _evaluate_bits, filter_full_linear_group, preserves_pairwise
 from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
-from quadpoint.quadform import arf, direct_sum, evaluate, standard_form
+from quadpoint.quadform import _columns, _images, arf, direct_sum, evaluate, standard_form
 
 from conftest import all_vectors, bit_product
 
@@ -179,6 +179,57 @@ class TestMembership:
         sp2 = [BitMatrix(2, 2, (r0, r1))
                for r0 in range(1, 4) for r1 in range(1, 4) if r0 != r1]
         assert all(in_orthogonal_mcg(S11, MappingClass(m, 0)) for m in sp2)
+
+    def test_seeded_classes_match_the_referee(self):
+        """Seeded matrices at genus 1-8: products of transvections x -> x +
+        B(x,c) c of the intersection form, along vectors with g(c) = 1 on the
+        surface or along any vectors, some with one entry flipped, and dense
+        random ones.  MappingClass accepts exactly those with m^T J m = J,
+        computed entry by entry, and in_orthogonal_mcg agrees with the
+        oracle's pairwise check."""
+        rng = random.Random(27)
+        counts = {"rejected": 0, True: 0, False: 0}
+        for _ in range(300):
+            genus = rng.randint(1, 8)
+            dim = 2 * genus
+            j = [1 << (k ^ 1) for k in range(dim)]
+            s = SurfacePinkallForm.from_g_values(genus, BitVector(dim, rng.getrandbits(dim)))
+            kind = rng.randrange(4)
+            if kind == 3:
+                rows = [rng.getrandbits(dim) for _ in range(dim)]
+            else:
+                rows = [1 << i for i in range(dim)]
+                for _ in range(rng.randint(1, 2 * dim)):
+                    c = rng.getrandbits(dim)
+                    if kind == 0 and not _evaluate_bits(s.form, c):
+                        continue
+                    jc = bit_product([c], j)[0]
+                    rows = [r ^ c if bin(r & jc).count("1") & 1 else r for r in rows]
+                if kind == 2:
+                    rows[rng.randrange(dim)] ^= 1 << rng.randrange(dim)
+            transpose = [sum(((r >> i) & 1) << k for k, r in enumerate(rows)) for i in range(dim)]
+            m = BitMatrix(dim, dim, tuple(rows))
+            if bit_product(transpose, bit_product(j, rows)) != j:
+                with pytest.raises(ValueError, match="^action must preserve the intersection form$"):
+                    MappingClass(m, 0)
+                counts["rejected"] += 1
+                continue
+            member = in_orthogonal_mcg(s, MappingClass(m, 0))
+            assert member == preserves_pairwise(s.form, rows)
+            counts[member] += 1
+        assert min(counts.values()) >= 30, counts
+
+    def test_q_reads_one_image_table(self):
+        """MappingClass builds no form and in_orthogonal_mcg reads the columns
+        through the surface's tables, which evaluate_word has just built: Q
+        of a word builds one _images entry."""
+        rng = random.Random(3)
+        s = SurfacePinkallForm.from_g_values(4, BitVector(8, rng.getrandbits(8)))
+        word = random_word(s, rng, 24)
+        _images.cache_clear()
+        _columns.cache_clear()
+        quadruple_point_invariant(s, evaluate_word(s, word))
+        assert _images.cache_info().misses == 1
 
 
 class TestParityInvariant:

@@ -160,6 +160,13 @@ def test_private_names_have_users():
                 and ident not in named]
 
 
+def test_mcg_certifies_each_half_once():
+    """MappingClass proves m^T J m = J itself and in_orthogonal_mcg reads only
+    the g half off _columns: mcg names neither form-level certificate."""
+    users = _users({"_preserves", "_pullback_bits"})
+    assert users and "mcg.py" not in users
+
+
 def _callers(name):
     """{"module:function": [its calls of name]} for every module-level function
     or Class.method of the package that names name."""
