@@ -160,7 +160,6 @@ def _swap_steps(f: QuadraticForm) -> tuple[tuple[int, int], tuple[int, int]]:
     return (gram_g(d2)[0], d1), (gram_g(d1)[0], d2)
 
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
 def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
     """The canonical involutive swap of the two partition triples, built
     from _swap_steps; u - Id has rank 2, parity 0."""

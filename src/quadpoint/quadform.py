@@ -58,16 +58,6 @@ class QuadraticForm(_Value):
         object.__setattr__(self, "basis_g", basis_g)
 
 
-class SymplecticBasis(_Value):
-    """Basis pairs with B(a_i,a_j) = B(b_i,b_j) = 0 and B(a_i,b_j) = delta_ij."""
-
-    __slots__ = ("a_vectors", "b_vectors")
-
-    def __init__(self, a_vectors: tuple[BitVector, ...], b_vectors: tuple[BitVector, ...]) -> None:
-        object.__setattr__(self, "a_vectors", a_vectors)
-        object.__setattr__(self, "b_vectors", b_vectors)
-
-
 # -- bit-level helpers shared inside the package ---------------------------
 
 @lru_cache(maxsize=1)
@@ -147,54 +137,40 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
     return parity(x.bits & _images(f)(y.bits)[0])
 
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
-def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...] | None:
-    """The greedy symplectic pairs of a Gram matrix, or None if it is
-    degenerate: non-degeneracy's certificate, cached per Gram, not per form."""
-    try:
-        return tuple(_symplectic_pairs(gram.data))
-    except ValueError:
-        return None
-
-
-@lru_cache(maxsize=FORM_CACHE_SIZE)
-def is_nondegenerate(f: QuadraticForm) -> bool:
-    return _gram_pairs(f.gram) is not None
-
-
-def _require_nondegenerate(f: QuadraticForm) -> tuple[tuple[int, int], ...]:
-    """The symplectic pairs of f's Gram, or ValueError("degenerate form")."""
-    pairs = _gram_pairs(f.gram)
-    if pairs is None:
-        raise ValueError("degenerate form")
-    return pairs
-
-
 # -- structure --------------------------------------------------------------
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)
-def symplectic_basis(f: QuadraticForm) -> SymplecticBasis:
-    """A symplectic basis, produced by a deterministic greedy reduction.
+def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...]:
+    """The greedy symplectic pairs (a_i, b_i) of a Gram matrix, with
+    B(a_i, a_j) = B(b_i, b_j) = 0 and B(a_i, b_j) = delta_ij.
 
     Repeatedly takes the first remaining vector x, the first partner y
     with B(x,y) = 1, and projects the rest to the orthogonal complement of
     the pair, on their Gram block updated by congruence, so that no B is
-    recomputed (gf2._symplectic_pairs, read through _gram_pairs).  An x with
-    no partner lies in the radical: ValueError("degenerate form").
+    recomputed (gf2._symplectic_pairs).  An x with no partner lies in the
+    radical: ValueError("degenerate form"), which is not cached.
+    Non-degeneracy's certificate, cached per Gram, not per form.
     """
-    pairs = _require_nondegenerate(f)
-    return SymplecticBasis(tuple(BitVector(f.dim, x) for x, _ in pairs),
-                           tuple(BitVector(f.dim, y) for _, y in pairs))
+    return tuple(_symplectic_pairs(gram.data))
+
+
+def _require_nondegenerate(f: QuadraticForm) -> tuple[tuple[int, int], ...]:
+    """The symplectic pairs of f's Gram, or ValueError("degenerate form")."""
+    return _gram_pairs(f.gram)
 
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)
 def arf(f: QuadraticForm) -> int:
-    """Arf invariant: sum of g(a_i) g(b_i) over a symplectic basis."""
-    sb = symplectic_basis(f)
+    """Arf invariant: sum of g(a_i) g(b_i) over the symplectic pairs.
+
+    The pairs come first, so a degenerate form raises before it can evict
+    the one form whose _images tables are kept.
+    """
+    pairs = _require_nondegenerate(f)
     gram_g = _images(f)
     acc = 0
-    for a, b in zip(sb.a_vectors, sb.b_vectors):
-        acc ^= gram_g(a.bits)[1] & gram_g(b.bits)[1]
+    for a, b in pairs:
+        acc ^= gram_g(a)[1] & gram_g(b)[1]
     return acc
 
 

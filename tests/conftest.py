@@ -29,17 +29,17 @@ from quadpoint.gf2 import (
     multiply,
     parity,
 )
-from quadpoint.oracle import _evaluate_bits
+from quadpoint.oracle import _bil_bits, _evaluate_bits
 from quadpoint.orthogroup import OrthogonalMap, decompose, enumerate_group, recompose
 from quadpoint.quadform import (
     QuadraticForm,
     _find_flip,
     _images,
+    _require_nondegenerate,
     arf,
-    is_nondegenerate,
+    direct_sum,
     pullback,
     standard_form,
-    symplectic_basis,
 )
 
 settings.register_profile("suite", deadline=None)
@@ -88,8 +88,9 @@ def nondegenerate_forms(draw, max_genus=3):
 #
 # A column scan over a list of rows with a separate pivot list: a second,
 # independent elimination that gf2's echelon form {lowest set bit: row} is
-# checked against; and the greedy symplectic reduction as a loop of single
-# parities over a list of vectors.
+# checked against; the greedy symplectic reduction as a loop of single
+# parities over a list of vectors; and psi read off a maximal totally singular
+# subspace (the Dickson invariant), with no rank of T - Id.
 
 def rref(data, cols):
     """Reduced row echelon form over the first cols columns.
@@ -170,18 +171,91 @@ def projected_pairs(gram):
     return pairs
 
 
+def singular_lagrangian(f):
+    """Basis of a maximal totally singular subspace of f, or None if f has
+    Arf invariant 1.
+
+    Witt's splitting, one hyperbolic pair at a time: in the span W of the
+    remaining vectors, x is the first sum of a nonempty subset of the first
+    three with g(x) = 0 (with three or more vectors one exists), y the first
+    partner with B(x, y) = 1, moved to g(y) = 0 by adding g(y) x.  x joins
+    the subspace, and W is projected to the complement of the pair by
+    z -> z + B(z, y) x + B(z, x) y and reduced to a basis by rref.  Two
+    vectors left without a singular sum span the Arf-1 plane.
+    """
+    def g(v):
+        return _evaluate_bits(f, v)
+
+    def b(x, y):
+        return _bil_bits(f, x, y)
+
+    remaining = [1 << i for i in range(f.dim)]
+    lagrangian = []
+    while remaining:
+        sums = [0]
+        for z in remaining[:3]:
+            sums += [v ^ z for v in sums]
+        x = next((v for v in sums[1:] if not g(v)), None)
+        if x is None:
+            return None
+        y = next(z for z in remaining if b(x, z))
+        y ^= x if g(y) else 0
+        lagrangian.append(x)
+        projected = [z ^ (x if b(z, y) else 0) ^ (y if b(z, x) else 0) for z in remaining]
+        reduced, pivots = rref(projected, f.dim)
+        remaining = reduced[:len(pivots)]
+    return lagrangian
+
+
+def dickson_parity(f):
+    """T -> the Dickson invariant of T, from a maximal totally singular U.
+
+    On an Arf-0 form of dimension 2m, U has dimension m, and T moves U to the
+    other family of such subspaces exactly when m - dim(U n TU) is odd: that
+    parity is psi(T) = rank(T - Id) mod 2, computed here without a rank of
+    T - Id.  dim(U n TU) = 2m - dim(U + TU), one rref.  An Arf-1 form is
+    first summed with the Arf-1 plane (g = 1 on its three nonzero vectors),
+    on which T acts as the identity.  The returned function takes the rows
+    of T.
+    """
+    lagrangian = singular_lagrangian(f)
+    if lagrangian is None:
+        f = direct_sum(f, standard_form(1, 1))
+        lagrangian = singular_lagrangian(f)
+    dim, m = f.dim, len(lagrangian)
+    assert 2 * m == dim
+
+    def psi(rows):
+        rows = [*rows, *(1 << i for i in range(len(rows), dim))]
+        images = [sum(((r & u).bit_count() & 1) << i for i, r in enumerate(rows))
+                  for u in lagrangian]
+        return (len(rref(lagrangian + images, dim)[1]) - m) % 2
+
+    return psi
+
+
 def same_symplectic_pairs(f):
-    """Whether symplectic_basis(f) gives the reference pairs, or both raise
-    ValueError("degenerate form")."""
+    """Whether _require_nondegenerate(f) gives the reference pairs, or both
+    raise ValueError("degenerate form")."""
     try:
         expected = projected_pairs(f.gram.data)
     except ValueError as exc:
         expected = str(exc)
     try:
-        sb = symplectic_basis(f)
+        pairs = _require_nondegenerate(f)
     except ValueError as exc:
         return str(exc) == expected == "degenerate form"
-    return [(a.bits, b.bits) for a, b in zip(sb.a_vectors, sb.b_vectors)] == expected
+    return list(pairs) == expected
+
+
+def nondegenerate(f) -> bool:
+    """Whether f's Gram has symplectic pairs, else "degenerate form" is raised."""
+    try:
+        _require_nondegenerate(f)
+    except ValueError as exc:
+        assert str(exc) == "degenerate form"
+        return False
+    return True
 
 
 # -- reference restoration ------------------------------------------------------
@@ -330,7 +404,7 @@ def dim4_arf0_forms():
     for rows in zero_diagonal_grams(4):
         for g in range(16):
             f = QuadraticForm(4, BitMatrix(4, 4, tuple(rows)), BitVector(4, g))
-            if is_nondegenerate(f) and arf(f) == 0:
+            if nondegenerate(f) and arf(f) == 0:
                 yield f
 
 

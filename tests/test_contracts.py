@@ -27,7 +27,6 @@ DEGENERATE = "degenerate form"
 
 # name: (call on a degenerate form f, the message for DEG3, for DEG4).
 REJECTS = {
-    "quadform.symplectic_basis": (quadform.symplectic_basis, DEGENERATE, DEGENERATE),
     "quadform.arf": (quadform.arf, DEGENERATE, DEGENERATE),
     "quadform.pullback": (lambda f: quadform.pullback(f, BitMatrix.identity(f.dim)),
                           DEGENERATE, DEGENERATE),
@@ -79,7 +78,6 @@ SURFACE = "its SurfacePinkallForm carries the standard Gram, which is non-degene
 FORM_AGNOSTIC = {
     "quadform.evaluate": "reads g at one vector, by polarization over any Gram",
     "quadform.bilinear": "reads B at one pair of vectors, for any Gram",
-    "quadform.is_nondegenerate": "answers whether the form is degenerate",
     "quadform.direct_sum": "joins two forms block-diagonally, degenerate or not",
     "oracle.preserves_pairwise": "the referee checks the definition, for any form",
     "formats.dump_form": "writes any form the text format can hold",

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,13 +53,13 @@ from quadpoint.quadform import (
     QuadraticForm,
     _preserves,
     _pullback_bits,
+    _require_nondegenerate,
     arf,
     bilinear,
     evaluate,
     find_connector,
     pullback,
     standard_form,
-    symplectic_basis,
 )
 
 from conftest import (
@@ -67,6 +68,7 @@ from conftest import (
     all_vectors,
     bit_matrices,
     bit_product,
+    dickson_parity,
     dim4_arf0_forms,
     fold_restoration_word,
     nondegenerate_forms,
@@ -78,6 +80,7 @@ F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
 F20 = standard_form(2, 0)
 F21 = standard_form(2, 1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SWAP = BitMatrix.from_strings(["01", "10"])
 
 
@@ -253,7 +256,7 @@ class TestDegenerateForms:
                      lambda: is_orthogonal(f, identity),
                      lambda: recompose(f, 0, []),
                      lambda: enumerate_group(f),
-                     lambda: symplectic_basis(f),
+                     lambda: _require_nondegenerate(f),
                      lambda: arf(f),
                      lambda: find_connector(f, [], e0, e0),
                      lambda: random_orthogonal(f, 0, 1),
@@ -286,12 +289,44 @@ class TestRankParity:
             assert rank_parity(m) == k % 2
 
     def test_matches_fixed_space_parity(self, small_groups):
+        """And the Dickson referee, on every element of dims 2 and 4."""
         for (genus, arf_value), group in small_groups.items():
             f = standard_form(genus, arf_value)
+            psi = dickson_parity(f)
             for m in group:
                 t = OrthogonalMap(f, m)
                 fs = len(fixed_space(t))
-                assert rank_parity(t) == fs % 2 == (f.dim - fs) % 2
+                assert rank_parity(t) == fs % 2 == (f.dim - fs) % 2 == psi(m.data)
+
+    def test_dickson_referee_on_dim6_sample(self, dim6_groups):
+        """A seeded sample of 2,000 elements of the two dimension-6 groups."""
+        groups = dim6_groups[0]
+        pool = [(a, m) for a in (0, 1) for m in sorted(groups[a], key=lambda m: m.data)]
+        psis = {a: dickson_parity(standard_form(3, a)) for a in (0, 1)}
+        for a, m in random.Random(6).sample(pool, 2000):
+            assert rank_parity(m) == psis[a](m.data)
+
+    @pytest.mark.parametrize("genus", [4, 8, 12, 16, 20, 24, 28, 32])
+    def test_dickson_referee_on_large_seeded_maps(self, genus):
+        """Dims 8 to 64: seeded words of both length parities on seeded
+        forms of both Arf values; psi is also the word length mod 2."""
+        rng = random.Random(genus)
+        for arf_value in (0, 1):
+            f = seeded_form(rng, genus, arf_value)
+            psi = dickson_parity(f)
+            for length in (2 * rng.randint(1, genus), 2 * rng.randint(1, genus) + 1):
+                m = random_orthogonal(f, rng.getrandbits(32), length).matrix
+                assert rank_parity(m) == psi(m.data) == length % 2
+
+    def test_dickson_referee_on_the_enumerate_golden(self):
+        """The psi column of the genus-2, Arf-0 enumeration golden file."""
+        lines = (GOLDEN / "enumerate_g2a0.txt").read_text(encoding="utf-8").splitlines()
+        psi = dickson_parity(F20)
+        assert lines[0] == "order 72"
+        for line in lines[1:]:
+            bits, value = line.split()
+            m = BitMatrix(4, 4, tuple(int(bits[i:i + 4][::-1], 2) for i in range(0, 16, 4)))
+            assert rank_parity(m) == psi(m.data) == int(value)
 
 
 class TestFixedSpace:

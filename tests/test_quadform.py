@@ -9,26 +9,26 @@ from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply, rank_rows
 from quadpoint.oracle import _bil_bits, _evaluate_bits
 from quadpoint.quadform import (
     QuadraticForm,
-    SymplecticBasis,
     _gram_pairs,
     _images,
+    _require_nondegenerate,
     arf,
     bilinear,
     direct_sum,
     evaluate,
     find_connector,
-    is_nondegenerate,
     pullback,
     standard_form,
     standard_gram,
-    symplectic_basis,
 )
 
 from conftest import (
+    DEG4,
     all_vectors,
     dim4_arf0_forms,
     eliminated_connector,
     invertible_matrices,
+    nondegenerate,
     nondegenerate_forms,
     random_gram,
     rref,
@@ -61,7 +61,7 @@ class TestConstruction:
 
     def test_dim_zero(self):
         f = standard_form(0, 0)
-        assert is_nondegenerate(f)
+        assert _require_nondegenerate(f) == ()
         assert arf(f) == 0
 
 
@@ -112,11 +112,11 @@ def test_polarization_random_forms(f, data):
 
 class TestNondegenerate:
     def test_standard(self):
-        assert is_nondegenerate(F30)
+        assert _require_nondegenerate(F30) == ((1, 2), (4, 8), (16, 32))
 
     def test_zero_gram(self):
         f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
-        assert not is_nondegenerate(f)
+        assert not nondegenerate(f)
 
     def test_no_odd_dimension_candidate(self):
         """Every symmetric zero-diagonal Gram in dims 0-6 against the reference rank.
@@ -129,7 +129,7 @@ class TestNondegenerate:
             for rows in zero_diagonal_grams(dim):
                 f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector.zero(dim))
                 expected = len(rref(rows, dim)[1]) == dim
-                assert is_nondegenerate(f) == expected
+                assert nondegenerate(f) == expected
                 assert same_symplectic_pairs(f)
                 assert not (expected and dim % 2)
                 count += expected
@@ -149,9 +149,8 @@ class TestNondegenerate:
                      data.draw(invertible_matrices(dim)))
         f = pullback(standard_form(genus, data.draw(st.integers(0, 1))), p)
         assert len(rref(f.gram.data, dim)[1]) < dim
-        assert not is_nondegenerate(f)
         with pytest.raises(ValueError, match="^degenerate form$"):
-            symplectic_basis(f)
+            _require_nondegenerate(f)
         assert same_symplectic_pairs(f)
 
 
@@ -162,23 +161,49 @@ class TestFormCaches:
         gram = BitMatrix(40, 40, tuple(random_gram(random.Random(7), 40)))
         forms = [QuadraticForm(40, gram, BitVector(40, g)) for g in (1, 2)]
         before = _gram_pairs.cache_info()
-        assert len({is_nondegenerate(f) for f in forms}) == 1
+        assert len({_require_nondegenerate(f) for f in forms}) == 1
         after = _gram_pairs.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
+    def test_degenerate_gram_is_not_cached(self):
+        """A degenerate Gram raises each time and leaves no entry behind."""
+        for _ in range(2):
+            before = _gram_pairs.cache_info()
+            with pytest.raises(ValueError, match="^degenerate form$"):
+                _require_nondegenerate(DEG4)
+            after = _gram_pairs.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+            assert after.currsize == before.currsize
+
+    def test_arf_checks_before_building_tables(self):
+        """arf of a degenerate form raises before _images, so the one cached
+        table, another form's, stays."""
+        evaluate(F20, BitVector.zero(4))
+        before = _images.cache_info()
+        with pytest.raises(ValueError, match="^degenerate form$"):
+            arf(DEG4)
+        evaluate(F20, BitVector.zero(4))
+        after = _images.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+
     def test_bounded(self):
-        from quadpoint.orthogroup import canonical_umap, umap_partition
+        from quadpoint.orthogroup import umap_partition
         from quadpoint.quadform import FORM_CACHE_SIZE
 
         for g in range(256):
             arf(QuadraticForm(8, standard_gram(4), BitVector(8, g)))
         count = 0
         for f in dim4_arf0_forms():
-            canonical_umap(f)
+            umap_partition(f)
             count += 1
         assert count == 280
-        for cache in (is_nondegenerate, symplectic_basis, arf, umap_partition,
-                      canonical_umap):
+        found = 0
+        for rows in zero_diagonal_grams(6):
+            found += nondegenerate(QuadraticForm(6, BitMatrix(6, 6, tuple(rows)),
+                                                 BitVector.zero(6)))
+            if found > FORM_CACHE_SIZE:
+                break
+        for cache in (_gram_pairs, arf, umap_partition):
             info = cache.cache_info()
             assert (info.maxsize, info.currsize) == (FORM_CACHE_SIZE, FORM_CACHE_SIZE)
 
@@ -205,32 +230,31 @@ def test_gram_image_is_the_matvec(data):
     assert bilinear(f, BitVector(dim, x), BitVector(dim, v)) == _bil_bits(f, x, v)
 
 
-def check_symplectic(f, sb: SymplecticBasis):
-    n = len(sb.a_vectors)
-    assert len(sb.b_vectors) == n
+def check_symplectic(f, pairs):
+    n = len(pairs)
     assert 2 * n == f.dim
+    a_vectors = [BitVector(f.dim, a) for a, _ in pairs]
+    b_vectors = [BitVector(f.dim, b) for _, b in pairs]
     for i in range(n):
         for j in range(n):
-            assert bilinear(f, sb.a_vectors[i], sb.a_vectors[j]) == 0
-            assert bilinear(f, sb.b_vectors[i], sb.b_vectors[j]) == 0
-            assert bilinear(f, sb.a_vectors[i], sb.b_vectors[j]) == (i == j)
+            assert bilinear(f, a_vectors[i], a_vectors[j]) == 0
+            assert bilinear(f, b_vectors[i], b_vectors[j]) == 0
+            assert bilinear(f, a_vectors[i], b_vectors[j]) == (i == j)
 
 
 class TestSymplecticBasis:
     def test_standard_already_reduced(self):
-        sb = symplectic_basis(F20)
-        assert [v.to01() for v in sb.a_vectors] == ["1000", "0010"]
-        assert [v.to01() for v in sb.b_vectors] == ["0100", "0001"]
+        pairs = _require_nondegenerate(F20)
+        assert [BitVector(4, a).to01() for a, _ in pairs] == ["1000", "0010"]
+        assert [BitVector(4, b).to01() for _, b in pairs] == ["0100", "0001"]
 
     def test_dim_two(self):
-        sb = symplectic_basis(F11)
-        assert sb.a_vectors == (BitVector.basis(2, 0),)
-        assert sb.b_vectors == (BitVector.basis(2, 1),)
+        assert _require_nondegenerate(F11) == ((0b01, 0b10),)
 
     @given(nondegenerate_forms(max_genus=40))
     def test_relations_on_random_forms(self, f):
         """Up to dim 80: the relations, and the reference projection's pairs."""
-        check_symplectic(f, symplectic_basis(f))
+        check_symplectic(f, _require_nondegenerate(f))
         assert same_symplectic_pairs(f)
 
     @pytest.mark.parametrize("genus", [1, 2, 4, 5, 8, 13, 26, 32, 33, 38])
@@ -246,15 +270,15 @@ class TestSymplecticBasis:
                     rows.append(r)
             f = pullback(standard_form(genus, arf_value),
                          BitMatrix(dim, dim, tuple(rows)))
-            sb = symplectic_basis(f)
-            check_symplectic(f, sb)
-            assert rank_rows(v.bits for v in sb.a_vectors + sb.b_vectors) == dim
+            pairs = _require_nondegenerate(f)
+            check_symplectic(f, pairs)
+            assert rank_rows(v for pair in pairs for v in pair) == dim
             assert same_symplectic_pairs(f)
 
     def test_degenerate_rejected(self):
         f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
         with pytest.raises(ValueError):
-            symplectic_basis(f)
+            _require_nondegenerate(f)
 
 
 class TestArf:
@@ -309,7 +333,7 @@ class TestDirectSum:
 
     @given(nondegenerate_forms(max_genus=2), nondegenerate_forms(max_genus=2))
     def test_nondegenerate_closed(self, f1, f2):
-        assert is_nondegenerate(direct_sum(f1, f2))
+        assert nondegenerate(direct_sum(f1, f2))
 
 
 def connector_postconditions(f, ws, a1, a2, c):
@@ -435,9 +459,9 @@ class TestFindConnector:
                 if rank_rows(rows + [r]) == len(rows) + 1:
                     rows.append(r)
             f = pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(rows)))
-            sb = symplectic_basis(f)
             a_vectors = []
-            for a, b in zip(sb.a_vectors, sb.b_vectors):
+            for a, b in ((BitVector(dim, a), BitVector(dim, b))
+                         for a, b in _require_nondegenerate(f)):
                 if not evaluate(f, a):
                     a = b if evaluate(f, b) else a ^ b
                 a_vectors.append(a)

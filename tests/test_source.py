@@ -126,6 +126,24 @@ def test_caches_are_bounded():
     assert caches and not unbounded
 
 
+def test_one_cache_per_fact():
+    """The lru_cache functions of the package are exactly these: byte tables
+    and fold constants in gf2; per form the tables, one matrix's columns, the
+    Arf invariant and the dimension-4 partition; per Gram its symplectic
+    pairs.  No wrapper caches a fact that one of them already holds."""
+
+    def is_lru_cache(decorator):
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return (func.attr if isinstance(func, ast.Attribute) else func.id) == "lru_cache"
+
+    cached = {f"{name[:-3]}.{node.name}" for name, node in _nodes()
+              if isinstance(node, ast.FunctionDef)
+              and any(is_lru_cache(d) for d in node.decorator_list)}
+    assert cached == {"gf2._ones", "gf2._transpose_masks", "quadform._images",
+                      "quadform._columns", "quadform._gram_pairs", "quadform.arf",
+                      "orthogroup.umap_partition"}
+
+
 def _users(names):
     """The package modules that name any of the given names."""
     return {name for name, node in _nodes()
