@@ -157,7 +157,5 @@ def parse_inline_matrix(arg: str) -> BitMatrix:
     A single run of bits is a 1 x n vector.
     """
     rows = arg.split("/")
-    vectors = [_bits(r, "inline matrix row") for r in rows]
-    if len({v.length for v in vectors}) > 1:
-        raise FormatError("inline matrix rows of unequal length")
-    return BitMatrix.from_rows(vectors)
+    cols = len(rows[0])
+    return BitMatrix(len(rows), cols, tuple(_row(r, cols, "inline matrix row").bits for r in rows))

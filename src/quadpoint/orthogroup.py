@@ -9,8 +9,9 @@ where transvections generate only an index-2 subgroup.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from functools import lru_cache
+from itertools import chain
 
 from .gf2 import (
     BitMatrix,
@@ -206,9 +207,9 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w).
 
     The escape works at the rank of W: the slots of H span G W, so their
-    reduced echelon form has rank(W) rows, Fix(T) = W^perp is its kernel,
-    built only as far as _find_flip reads it, and _outside_span tests every
-    candidate for v at once by parities against its rows.
+    reduced echelon form has rank(W) rows, and Fix(T) = W^perp is its kernel,
+    built only as far as _find_flip reads it; the candidates for v are tested
+    off H.
 
     W and H start from _columns, the columns c_j of m with the Gram images
     and g-values that OrthogonalMap's certificate looked up: slot j of W is
@@ -257,52 +258,26 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
             push((w_block >> i * stride ^ w_block >> j * stride) & mask,
                  hcols[i] ^ hcols[j], (h_block >> i ^ h_block >> j) & ones)
             continue
-        fixed = _echelon(hcols)
-        c = (_find_flip(f, _kernel(fixed, dim))
+        c = (_find_flip(f, _kernel(_echelon(hcols), dim))
              or _find_flip(f, [1 << k for k in range(dim)]))
-        gc = gram_g(c)[0]
+        gc, hc = gram_g(c)[0], _combine(hcols, c)  # hc = G (T + I)c
         rhs = 1 << dim
-        system = _echelon([gc | rhs, _combine(hcols, c)])  # the second row is G (T + I)c
+        system = _echelon([gc | rhs, hc])
         s0 = _solution(system, rhs)
-        v = None if s0 is None else _outside_span(fixed.values(), system, s0, c, dim)
+        # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c, so,
+        # G being invertible, when G (T + I)x is 0 or hc.  Each kernel vector k is
+        # e_j plus at most two pivots: G (T + I)k is at most three slots of H.
+        v = None
+        if s0 is not None:
+            hs0 = _combine(hcols, s0)
+            v = next((s0 ^ k for k in chain((0,), _kernel(system, dim))
+                      if hs0 ^ _combine(hcols, k) not in (0, hc)), None)
         if v is None:
             raise ValueError("restoration found no escape from a dead end")
         w = _combine(_unpack(w_block, stride, dim), v) ^ c
         push(c, gc)
         push(w, gram_g(w)[0])
     return [BitVector(dim, c) for c in reversed(applied)]
-
-
-def _outside_span(rows: Collection[int], system: dict[int, int], s0: int, c: int,
-                  dim: int) -> int | None:
-    """The first of s0, then s0 + k_j for the kernel vectors k_j of the
-    system in column order, that lies outside span(P, c), where P is the
-    vectors x with parity(x & h) = 0 for every row h; None if none does.
-
-    x lies in span(P, c) exactly when x or x + c lies in P: when its
-    parities against the rows are all 0 or all those of c.  k_j is e_j plus
-    the pivots p whose system rows hold bit j, so parity(k_j & h) is bit j
-    of h plus the sum of the rows of the pivots at the set bits of h: one
-    XOR of at most two system rows per row h gives it for every j at once.
-    """
-    mask = (1 << dim) - 1
-    at_s0 = [parity(s0 & h) for h in rows]
-    at_c = [parity(c & h) for h in rows]
-    if any(at_s0) and at_s0 != at_c:
-        return s0
-    outside = outside_c = 0  # bit j: s0 + k_j, resp. s0 + k_j + c, lies outside P
-    for h, a, b in zip(rows, at_s0, at_c):
-        bits = h ^ (mask if a else 0)
-        for p, row in system.items():
-            if p & h:
-                bits ^= row
-        outside |= bits
-        outside_c |= bits ^ (mask if b else 0)
-    found = outside & outside_c & mask & ~sum(system)  # at free columns only
-    if not found:
-        return None
-    j = found & -found
-    return s0 ^ j ^ _solution(system, j)
 
 
 def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:

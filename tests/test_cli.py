@@ -78,6 +78,13 @@ def test_inline_matrix_argument():
     assert res.stdout == "psi 1\n"
 
 
+def test_inline_matrix_rows_of_unequal_length(monkeypatch):
+    """Each inline row is read at the first row's length, as a file's rows."""
+    monkeypatch.chdir(HERE)
+    assert run_main(["psi", "--form", "data/form_g1a0.txt", "--matrix", "01/1"]) == (
+        1, "", "error parse: inline matrix row of length 1, expected 2\n")
+
+
 class TestErrors:
     def test_membership_failure(self):
         res = run_cli(["q", "--surface", "data/surf_g1a0.txt",

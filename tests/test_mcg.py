@@ -1,10 +1,13 @@
 """Surface layer: twist actions, membership, the parity invariant."""
 
+import contextlib
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadpoint import cli
 from quadpoint.gf2 import BitMatrix, BitVector, multiply, rank
 from quadpoint.mcg import (
     FLIP,
@@ -27,7 +30,15 @@ from quadpoint.mcg import (
 )
 from quadpoint.oracle import _bil_bits, _evaluate_bits, filter_full_linear_group, preserves_pairwise
 from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
-from quadpoint.quadform import _columns, _images, arf, direct_sum, evaluate, standard_form
+from quadpoint.quadform import (
+    _columns,
+    _images,
+    arf,
+    direct_sum,
+    evaluate,
+    pullback,
+    standard_form,
+)
 
 from conftest import all_vectors, bit_product
 
@@ -296,6 +307,78 @@ class TestQuadruplePoints:
         with pytest.raises(NotRegularlyHomotopicError):
             quadruple_point_invariant(S10, twist_class(S10, BitVector.basis(2, 0)))
         assert len(calls) == 2
+
+
+def naturality_cases(seed, count):
+    """Seeded (s, h, s', h') with s' = s o phi and h' = phi^-1 h phi.
+
+    s has genus 1 to 8 and random g-values.  phi is a word of twists along
+    arbitrary classes, so it is symplectic, and phi^-1 is the reversed word.
+    h is a word of twists with a random orientation bit: along g = 1 classes
+    of s in half the cases (a member), along arbitrary classes in the rest.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        genus = rng.randint(1, 8)
+        dim = 2 * genus
+        s = SurfacePinkallForm.from_g_values(genus, BitVector(dim, rng.getrandbits(dim)))
+        classes = [BitVector(dim, rng.getrandbits(dim)) for _ in range(rng.randint(1, 3 * dim))]
+        phi = evaluate_word(s, [twist(c) for c in classes]).action
+        phi_inverse = evaluate_word(s, [twist(c) for c in reversed(classes)]).action
+        assert multiply(phi, phi_inverse) == BitMatrix.identity(dim)
+        member = rng.getrandbits(1)
+        word = [FLIP] * rng.getrandbits(1)
+        for _ in range(rng.randint(0, 2 * dim)):
+            c = rng.getrandbits(dim)
+            while member and not _evaluate_bits(s.form, c):
+                c = rng.getrandbits(dim)
+            word.append(twist(BitVector(dim, c)))
+        h = evaluate_word(s, word)
+        s2 = SurfacePinkallForm(genus, pullback(s.form, phi))
+        h2 = MappingClass(multiply(phi_inverse, multiply(h.action, phi)), h.epsilon)
+        yield s, h, s2, h2
+
+
+def q_line(s, h, tmp_path):
+    """cli.main's (exit code, stdout, stderr) for q --surface s --matrix h."""
+    path = tmp_path / "surface.txt"
+    path.write_text(f"genus {s.genus}\ng {s.form.basis_g.to01()}\n")
+    matrix = "/".join(h.action.to01_rows())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["q", "--surface", str(path), "--matrix", matrix,
+                         "--epsilon", str(h.epsilon)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNaturality:
+    """Precomposing a regular homotopy with a diffeomorphism phi keeps its
+    quadruple points.  On homology, for symplectic phi and q' = q o phi: h
+    preserves q exactly when phi^-1 h phi preserves q', Q_q'(phi^-1 h phi) =
+    Q_q(h), and Arf(q') = Arf(q)."""
+
+    def test_membership_q_and_arf_are_natural(self):
+        counts = {True: 0, False: 0}
+        for s, h, s2, h2 in naturality_cases(5, 400):
+            assert arf(s2.form) == arf(s.form)
+            member = in_orthogonal_mcg(s, h)
+            assert in_orthogonal_mcg(s2, h2) == member
+            counts[member] += 1
+            if member:
+                assert quadruple_point_invariant(s2, h2) == quadruple_point_invariant(s, h)
+            else:
+                for surface, cls in ((s, h), (s2, h2)):
+                    with pytest.raises(NotRegularlyHomotopicError):
+                        quadruple_point_invariant(surface, cls)
+        assert min(counts.values()) >= 100, counts
+
+    def test_cli_q_is_natural(self, tmp_path):
+        answers = set()
+        for s, h, s2, h2 in naturality_cases(8, 8):
+            line = q_line(s, h, tmp_path)
+            assert q_line(s2, h2, tmp_path) == line
+            answers.add(line[1] or line[2].split(":")[0])
+        assert answers == {"Q 0\n", "Q 1\n", "error membership"}
 
 
 class TestImmersionComparisons:
