@@ -168,7 +168,8 @@ def _parse(argv) -> SimpleNamespace:
         need(eq or val[:1] != "-" or val[1:].isdecimal(), f"argument {opt}: expected one argument")
         if opt in _INTS:
             invalid = f"argument {opt}: invalid int value: {val!r}"
-            need(val.removeprefix("-").isdecimal(), invalid)
+            digits = val.removeprefix("-")
+            need(digits.isascii() and digits.isdecimal(), invalid)
             try:
                 val = int(val)
             except ValueError:  # past the interpreter's limit on digits

@@ -45,9 +45,13 @@ def _row(token: str, width: int, what: str) -> BitVector:
 
 
 def _int(token: str, what: str) -> int:
+    """A non-negative integer written in ASCII decimal digits."""
+    digits = token.removeprefix("-")
     try:
+        if not (digits.isascii() and digits.isdecimal()):
+            raise ValueError
         value = int(token)
-    except ValueError:
+    except ValueError:  # also past the interpreter's limit on digits
         raise FormatError(f"{what} must be an integer, got {token!r}") from None
     if value < 0:
         raise FormatError(f"{what} must be non-negative, got {value}")

@@ -6,9 +6,8 @@ Row elimination -- the inner loop of everything here -- is then a single
 integer XOR, and arbitrary dimensions come for free from arbitrary
 precision.  Bits above the declared length are kept at zero.
 
-Elimination has one format, the echelon form {lowest set bit: row}:
-rank_rows makes its forward pass, and everything that reads a solution
-keeps it fully reduced (_echelon).
+Elimination is one forward pass to the echelon form {lowest set bit: row}
+(_echelon): rank_rows counts its rows, and _solution back-substitutes.
 """
 
 from __future__ import annotations
@@ -183,19 +182,8 @@ class BitMatrix(_Value):
 
 
 def rank_rows(data: Iterable[int]) -> int:
-    """GF(2) rank of packed rows: the forward pass of the echelon form."""
-    pivots: dict[int, int] = {}
-    count = 0
-    for r in data:
-        while r:
-            low = r & -r
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = r
-                count += 1
-                break
-            r ^= p
-    return count
+    """GF(2) rank of packed rows: the row count of their echelon form."""
+    return len(_echelon(data))
 
 
 def rank(m: BitMatrix) -> int:
@@ -443,39 +431,43 @@ def _matvec(rows: Sequence[int], vbits: int) -> int:
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """The reduced echelon form {lowest set bit: row} of the span of the rows.
+    """An echelon form {lowest set bit: row} of the span of the rows.
 
-    Each row is reduced by the stored rows and, when it is not in their
-    span, cleared from them at its own lowest bit.  So every stored row is
-    zero at the other rows' lowest bits: this is the reduced row echelon
-    form of the span, unique whatever the row order.
+    Each row is reduced by the stored row at its lowest set bit until it is
+    0 or its lowest bit is new; then it is stored there, and stored rows are
+    never rewritten.  The rows depend on the row order, their lowest bits do
+    not: they are the lowest bits that the vectors of the span can have.
     """
     echelon: dict[int, int] = {}
-    for row in rows:
-        for low, r in echelon.items():
-            if row & low:
-                row ^= r
-        if row:
-            low = row & -row
-            for p, r in echelon.items():
-                if r & low:
-                    echelon[p] = r ^ row
-            echelon[low] = row
+    for r in rows:
+        while r:
+            low = r & -r
+            p = echelon.get(low)
+            if p is None:
+                echelon[low] = r
+                break
+            r ^= p
     return echelon
 
 
 def _solution(echelon: dict[int, int], rhs_bit: int) -> int | None:
-    """Solution, free variables zero, of a system given by its reduced form.
+    """Solution, free variables zero, of a system given by its echelon form.
 
     The echelon spans the rows of the system with the right-hand side at bit
     rhs_bit, a column other than the unknowns.  None when rhs_bit is itself a
-    pivot: a sum of rows reads 0 = 1.  Otherwise each row sets its pivot's
-    unknown to its bit at rhs_bit.  Rows that carry several right-hand sides
-    must have independent left-hand sides, so that no pivot lies among them.
+    pivot: a sum of rows reads 0 = 1.  Otherwise the unknowns are set by
+    back-substitution, highest pivot first: a row has no bit below its pivot,
+    so the unknowns it reads above the pivot are already set.  Rows that
+    carry several right-hand sides must have independent left-hand sides, so
+    that no pivot lies among them.
     """
     if rhs_bit in echelon:
         return None
-    return sum(pivot for pivot, row in echelon.items() if row & rhs_bit)
+    x = 0
+    for pivot in sorted(echelon, reverse=True):
+        if parity(echelon[pivot] & (x | rhs_bit)):
+            x |= pivot
+    return x
 
 
 def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
@@ -498,7 +490,8 @@ def _kernel(echelon: dict[int, int], cols: int) -> Iterator[int]:
 
     The vector of free column j is e_j plus the solution whose right-hand side
     is column j.  Right-hand sides kept at bit cols and above change nothing:
-    cut there, the rows are the reduced form of the system without them.
+    cut there, the rows with a pivot below cols are an echelon form of the
+    system without them, and the rows above set no unknown.
     """
     return ((1 << j) | _solution(echelon, 1 << j)
             for j in range(cols) if 1 << j not in echelon)

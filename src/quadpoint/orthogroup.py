@@ -207,7 +207,7 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     vectors are not columns of W, folds B(T e_j, w) = parity(T e_j & G w).
 
     The escape works at the rank of W: the slots of H span G W, so their
-    reduced echelon form has rank(W) rows, and Fix(T) = W^perp is its kernel,
+    echelon form has rank(W) rows, and Fix(T) = W^perp is its kernel,
     built only as far as _find_flip reads it; the candidates for v are tested
     off H.
 

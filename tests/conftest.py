@@ -14,15 +14,12 @@ from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
     _combine,
-    _echelon,
     _fold,
     _identity_block,
-    _kernel,
     _matvec,
     _ones,
     _pack,
     _parities,
-    _solution,
     _stride,
     _transpose,
     _unpack,
@@ -330,15 +327,14 @@ def fold_restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
             v = 1 << i | beta[i] & -beta[i]
             push(_combine(columns, v) ^ v)
             continue
-        fixed = _kernel(_echelon(r ^ 1 << k for k, r in enumerate(_transpose(columns, dim))), dim)
+        fixed = rref_kernel([r ^ 1 << k for k, r in enumerate(_transpose(columns, dim))], dim)
         c = _find_flip(f, fixed) or _find_flip(f, [1 << k for k in range(dim)])
         tc = _combine(columns, c) ^ c
-        rhs = 1 << dim
-        system = _echelon([gram_g(c)[0] | rhs, gram_g(tc)[0]])
-        s0 = _solution(system, rhs)
+        system = [gram_g(c)[0], gram_g(tc)[0]]
+        s0 = rref_solve(system, dim, 0b01)
         # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c
         v = None if s0 is None else next(
-            (x for x in (s0 ^ k for k in [0, *_kernel(system, dim)])
+            (x for x in (s0 ^ k for k in [0, *rref_kernel(system, dim)])
              if _combine(columns, x) ^ x not in (0, tc)), None)
         if v is None:
             raise ValueError("restoration found no escape from a dead end")

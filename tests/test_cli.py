@@ -485,6 +485,8 @@ CHANGED_USAGE_ERRORS = {
     "int-with-space": (["catalog", "--genus", " 1", "--arf", "0"],
                        "argument --genus: invalid int value: ' 1'"),
     "dash-as-value": (["arf", "--form", "-"], "argument --form: expected one argument"),
+    "non-ascii-digit": (["catalog", "--genus", "\u0661", "--arf", "\u0660"],
+                        "argument --genus: invalid int value: '\u0661'"),
 }
 
 

@@ -82,6 +82,19 @@ def test_row_width_messages(parse, text, message):
         parse(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_surface, "genus 0_1\ng\n", "genus must be an integer, got '0_1'"),
+    (parse_surface, "genus \u0661\ng 00\n", "genus must be an integer, got '\u0661'"),
+    (parse_form, "form +2\ng 00\n01\n10\n", "dimension must be an integer, got '+2'"),
+    (parse_matrix, "0_2 2\n", "row count must be an integer, got '0_2'"),
+    (parse_surface, "genus -3\ng\n", "genus must be non-negative, got -3"),
+])
+def test_integers_are_ascii_decimal_digits(parse, text, message):
+    """A count is ASCII digits 0-9 alone: no sign, underscore or other script."""
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
 def test_word_strictness():
     with pytest.raises(FormatError):
         parse_word("twist\n")

@@ -208,6 +208,12 @@ def _callers(name):
     return callers
 
 
+def test_rank_counts_the_echelon_rows():
+    """gf2 eliminates in one loop: rank_rows counts the rows of _echelon's
+    forward pass, which _solution back-substitutes."""
+    assert _callers("_echelon").get("gf2.py:rank_rows")
+
+
 def test_packed_block_stays_behind_gf2_and_orthogroup():
     """Only gf2 and orthogroup know the packed block; every other module
     turns a word into a matrix through gf2._product and multiplies a matrix
@@ -223,8 +229,9 @@ def test_packed_block_stays_behind_gf2_and_orthogroup():
     a row block by the step (sel, add).  No product transposes: _transpose
     serves BitMatrix.transpose, the Gram's symmetry check, the columns of m
     that _columns keeps for the pullback and the restoration, and the
-    restoration's transpose of H alone; the restoration reads the echelon
-    rows of G W off H and masks its diagonal with the identity block."""
+    restoration's transpose of H alone; the restoration reads Fix(T) and
+    tests the escape's candidates off H, and masks its diagonal with the
+    identity block."""
     block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block",
              "_parities", "_ones", "_fold"}
     assert _users(block) <= {"gf2.py", "orthogroup.py"}
