@@ -98,13 +98,11 @@ def _cmd_check_rh(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import oracle  # imported here, so that no other subcommand loads it
     f = formats.parse_form(_read(args.form))
-    elements = orthogroup.enumerate_group(f)
-    table = oracle.GroupTable.from_elements(elements)
+    table = orthogroup.GroupTable.from_elements(orthogroup.enumerate_group(f))
     print(f"order {len(table.elements)}")
     for m, p in zip(table.elements, table.psi_values):
-        print(f"{oracle.matrix_key(m)} {p}")
+        print(f"{orthogroup.matrix_key(m)} {p}")
     return 0
 
 

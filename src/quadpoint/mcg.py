@@ -25,11 +25,10 @@ class SurfacePinkallForm(_Value):
     __slots__ = ("genus", "form")
 
     def __init__(self, genus: int, form: QuadraticForm) -> None:
-        if genus < 0:
-            raise ValueError("genus must be non-negative")
+        gram = standard_gram(genus)  # rejects a negative genus first
         if form.dim != 2 * genus:
             raise ValueError("form dimension must be twice the genus")
-        if form.gram != standard_gram(genus):
+        if form.gram != gram:
             raise ValueError("Gram matrix must be the standard intersection form")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "form", form)

@@ -1,16 +1,16 @@
-"""Independent brute-force verification engines.
+"""Independent brute-force referees, imported by no engine or CLI module.
 
-These deliberately avoid the structural algorithms they are used to
-check: group membership by filtering the full linear group, and the Arf
-invariant by counting g-values over the whole space.
+These deliberately avoid the structural algorithms they check: group
+membership by filtering the full linear group, and the Arf invariant by
+counting g-values over the whole space.  No command loads this module.
 """
 
 from __future__ import annotations
 
 import random
 
-from .gf2 import BitMatrix, _product, _Value, parity, rank_rows
-from .orthogroup import OrthogonalMap, _check_dim, rank_parity
+from .gf2 import BitMatrix, _product, parity, rank_rows
+from .orthogroup import GroupTable, OrthogonalMap, _check_dim
 from .quadform import QuadraticForm, _images, _require_nondegenerate
 
 
@@ -35,27 +35,6 @@ def _bil_bits(f: QuadraticForm, xbits: int, ybits: int) -> int:
         t &= t - 1
         acc ^= parity(gram[i] & ybits)
     return acc
-
-
-def matrix_key(m: BitMatrix) -> str:
-    """Canonical sort key: the row-major bit string, bit j of a row at its
-    character j."""
-    return "".join([format(r, f"0{m.cols}b")[::-1] for r in m.data])
-
-
-class GroupTable(_Value):
-    """A finite orthogonal group as an ordered element list with parities."""
-
-    __slots__ = ("elements", "psi_values")
-
-    def __init__(self, elements: tuple[BitMatrix, ...], psi_values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "psi_values", psi_values)
-
-    @classmethod
-    def from_elements(cls, elements) -> "GroupTable":
-        ordered = sorted(elements, key=matrix_key)
-        return cls(tuple(ordered), tuple(rank_parity(m) for m in ordered))
 
 
 def preserves_pairwise(f: QuadraticForm, data) -> bool:
@@ -145,6 +124,8 @@ def orthogonal_group_order(dim: int, arf_value: int) -> int:
     """
     if dim % 2 or dim < 0:
         raise ValueError("dimension must be even and non-negative")
+    if arf_value not in (0, 1):
+        raise ValueError("arf_value must be 0 or 1")
     if dim == 0:
         return 1
     m = dim // 2

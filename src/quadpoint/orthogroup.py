@@ -374,3 +374,24 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
         level = nxt - seen
     rows = _unpack(_pack(seen, dim * stride), stride, len(seen) * dim)
     return {BitMatrix(dim, dim, rows[k * dim:k * dim + dim]) for k in range(len(seen))}
+
+
+def matrix_key(m: BitMatrix) -> str:
+    """Canonical sort key: the row-major bit string, bit j of a row at its
+    character j."""
+    return "".join([format(r, f"0{m.cols}b")[::-1] for r in m.data])
+
+
+class GroupTable(_Value):
+    """A finite orthogonal group in matrix_key order, with each element's rank parity."""
+
+    __slots__ = ("elements", "psi_values")
+
+    def __init__(self, elements: tuple[BitMatrix, ...], psi_values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "psi_values", psi_values)
+
+    @classmethod
+    def from_elements(cls, elements) -> "GroupTable":
+        ordered = sorted(elements, key=matrix_key)
+        return cls(tuple(ordered), tuple(rank_parity(m) for m in ordered))

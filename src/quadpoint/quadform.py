@@ -176,13 +176,10 @@ def arf(f: QuadraticForm) -> int:
 
 def direct_sum(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
     """Orthogonal direct sum: block-diagonal Gram, concatenated g-values."""
-    d1, d2 = f1.dim, f2.dim
+    d1, dim = f1.dim, f1.dim + f2.dim
     rows = tuple(f1.gram.data) + tuple(r << d1 for r in f2.gram.data)
-    return QuadraticForm(
-        d1 + d2,
-        BitMatrix(d1 + d2, d1 + d2, rows),
-        BitVector(d1 + d2, f1.basis_g.bits | (f2.basis_g.bits << d1)),
-    )
+    gbits = f1.basis_g.bits | (f2.basis_g.bits << d1)
+    return QuadraticForm(dim, BitMatrix(dim, dim, rows), BitVector(dim, gbits))
 
 
 def pullback(f: QuadraticForm, p: BitMatrix) -> QuadraticForm:
@@ -196,15 +193,18 @@ def pullback(f: QuadraticForm, p: BitMatrix) -> QuadraticForm:
 
 def standard_gram(genus: int) -> BitMatrix:
     """Block-diagonal hyperbolic Gram on basis a_1,b_1,...,a_n,b_n: row k is e_(k^1)."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
     return BitMatrix(2 * genus, 2 * genus, tuple(1 << (k ^ 1) for k in range(2 * genus)))
 
 
 def standard_form(genus: int, arf_value: int) -> QuadraticForm:
     """The standard non-degenerate form of given genus and Arf invariant."""
-    gbits = 0b11 if (arf_value and genus) else 0
+    if arf_value not in (0, 1):
+        raise ValueError("arf_value must be 0 or 1")
     if arf_value and not genus:
         raise ValueError("genus 0 only carries the trivial form")
-    return QuadraticForm(2 * genus, standard_gram(genus), BitVector(2 * genus, gbits))
+    return QuadraticForm(2 * genus, standard_gram(genus), BitVector(2 * genus, 0b11 * arf_value))
 
 
 # -- searches ---------------------------------------------------------------

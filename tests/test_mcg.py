@@ -89,6 +89,20 @@ class TestSurfaceType:
         s = SurfacePinkallForm.from_g_values(2, BitVector.from_string("1100"))
         assert s.form == direct_sum(standard_form(1, 1), standard_form(1, 0))
 
+    @pytest.mark.parametrize("arf_value", [2, -1])
+    def test_standard_checks_arf_value(self, arf_value):
+        with pytest.raises(ValueError, match="^arf_value must be 0 or 1$"):
+            SurfacePinkallForm.standard(1, arf_value)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SurfacePinkallForm.standard(-1, 0),
+        lambda: SurfacePinkallForm(-1, standard_form(0, 0)),
+        lambda: SurfacePinkallForm.from_g_values(-1, BitVector.zero(0)),
+    ])
+    def test_negative_genus_rejected(self, make):
+        with pytest.raises(ValueError, match="^genus must be non-negative$"):
+            make()
+
 
 class TestMappingClassType:
     def test_rejects_non_symplectic(self):
@@ -254,6 +268,11 @@ class TestParityInvariant:
     def test_genus1_arf1_generators(self):
         values = [mapping_class_parity(S11, h) for h in genus1_generators(1)]
         assert values == [0, 1]
+
+    @pytest.mark.parametrize("arf_value", [2, -1])
+    def test_genus1_generators_check_arf_value(self, arf_value):
+        with pytest.raises(ValueError, match="^arf_value must be 0 or 1$"):
+            genus1_generators(arf_value)
 
     def test_flip_parity_by_genus(self):
         # (n+1) eps: the orientation bit counts exactly when the genus is even

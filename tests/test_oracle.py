@@ -4,20 +4,21 @@ import random
 
 import pytest
 
+from quadpoint import oracle, orthogroup
 from quadpoint.gf2 import BitMatrix, BitVector, rank_rows
 from quadpoint.oracle import (
-    GroupTable,
     democratic_arf,
     filter_full_linear_group,
-    matrix_key,
     orthogonal_group_order,
     preserves_pairwise,
     random_orthogonal,
 )
 from quadpoint.orthogroup import (
     DimensionGuardError,
+    GroupTable,
     enumerate_group,
     is_orthogonal,
+    matrix_key,
     rank_parity,
 )
 from quadpoint.quadform import QuadraticForm, arf, pullback, standard_form, standard_gram
@@ -152,9 +153,20 @@ class TestGroupOrderFormula:
         with pytest.raises(ValueError):
             orthogonal_group_order(3, 0)
 
+    @pytest.mark.parametrize("dim, arf_value", [(4, 2), (4, -1), (2, 3), (0, 2)])
+    def test_arf_value_checked(self, dim, arf_value):
+        with pytest.raises(ValueError, match="^arf_value must be 0 or 1$"):
+            orthogonal_group_order(dim, arf_value)
+
 
 class TestGroupTable:
     def test_from_elements_sorted(self):
         table = GroupTable.from_elements(enumerate_group(F10))
         assert [matrix_key(m) for m in table.elements] == ["0110", "1001"]
         assert table.psi_values == (1, 0)
+
+    def test_oracle_returns_the_engine_class(self):
+        # filter_full_linear_group returns the table enumerate prints, and
+        # benchmark/tracer.py wraps oracle.GroupTable.from_elements: the name
+        # must stay bound in oracle, to the one class.
+        assert oracle.GroupTable is orthogroup.GroupTable

@@ -45,9 +45,10 @@ F30 = standard_form(3, 0)
 F31 = standard_form(3, 1)
 
 
-def brute_zero_count(f):
-    """Direct count of vectors with g = 0 (the democratic oracle)."""
-    return sum(1 for v in all_vectors(f.dim) if evaluate(f, v) == 0)
+def brute_zero_count(f, vectors):
+    """Direct count of the vectors, all of f's space, with g = 0 (the
+    democratic oracle); callers build them once per dimension."""
+    return sum(1 for v in vectors if evaluate(f, v) == 0)
 
 
 class TestConstruction:
@@ -63,6 +64,18 @@ class TestConstruction:
         f = standard_form(0, 0)
         assert _require_nondegenerate(f) == ()
         assert arf(f) == 0
+
+    @pytest.mark.parametrize("genus, arf_value", [(1, 2), (1, -1), (2, 3), (0, 2)])
+    def test_standard_form_checks_arf_value(self, genus, arf_value):
+        with pytest.raises(ValueError, match="^arf_value must be 0 or 1$"):
+            standard_form(genus, arf_value)
+
+    @pytest.mark.parametrize("arf_value", [0, 1])
+    def test_standard_form_checks_genus(self, arf_value):
+        with pytest.raises(ValueError, match="^genus must be non-negative$"):
+            standard_form(-1, arf_value)
+        with pytest.raises(ValueError, match="^genus must be non-negative$"):
+            standard_gram(-1)
 
 
 class TestEvaluate:
@@ -307,16 +320,18 @@ class TestArf:
             gram = standard_gram(genus)
             dim = 2 * genus
             expected_zeros = (1 << (dim - 1)) + (1 << (genus - 1))
+            vectors = all_vectors(dim)
             for gbits in range(1 << dim):
                 f = QuadraticForm(dim, gram, BitVector(dim, gbits))
-                assert (arf(f) == 0) == (brute_zero_count(f) == expected_zeros)
+                assert (arf(f) == 0) == (brute_zero_count(f, vectors) == expected_zeros)
 
     def test_democratic_count_dim10(self):
         gram = standard_gram(5)
         expected_zeros = (1 << 9) + (1 << 4)
+        vectors = all_vectors(10)
         for gbits in range(1 << 10):
             f = QuadraticForm(10, gram, BitVector(10, gbits))
-            assert (arf(f) == 0) == (brute_zero_count(f) == expected_zeros)
+            assert (arf(f) == 0) == (brute_zero_count(f, vectors) == expected_zeros)
 
 
 class TestDirectSum:

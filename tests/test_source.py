@@ -10,10 +10,10 @@ import quadpoint
 from conftest import child_env
 
 PACKAGE = Path(quadpoint.__file__).resolve().parent
-# Modules a CLI process does not need at start-up: quadpoint.oracle (and the
-# random module it uses) serves enumerate alone and is imported there, and the
-# command line is read by the table in quadpoint.cli, not by argparse (which
-# loads gettext and, on its first parser, locale).
+# Modules a CLI process does not load: quadpoint.oracle (and the random module
+# it uses) is the referee, which no package module imports, and the command
+# line is read by the table in quadpoint.cli, not by argparse (which loads
+# gettext and, on its first parser, locale).
 NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale",
                   "random", "quadpoint.oracle")
 
@@ -93,11 +93,30 @@ def test_cli_run_import_set():
 
 
 def test_enumerate_import_set():
-    """enumerate, which also imports quadpoint.oracle, loads none of the
-    standard-library modules in NOT_AT_STARTUP but random."""
-    assert _loaded("quadpoint.cli, quadpoint.oracle",
-                   ("dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext",
-                    "locale")) == []
+    """enumerate prints its table, sorted with each element's rank parity,
+    and loads none of NOT_AT_STARTUP: neither quadpoint.oracle nor random."""
+    tests = Path(__file__).parent
+    form = tests / "data" / "form_g1a1.txt"
+    run = f"quadpoint.cli.main(['enumerate', '--form', {str(form)!r}])"
+    golden = (tests / "golden" / "enumerate_g1a1.txt").read_text(encoding="utf-8")
+    assert _loaded("quadpoint.cli", NOT_AT_STARTUP, run) == golden.split()
+
+
+def test_no_module_imports_the_oracle():
+    """The referee stays outside what it referees: no package module imports
+    quadpoint.oracle, whether as from .oracle import ..., from . import
+    oracle or import quadpoint.oracle."""
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("oracle" in path.split(".") for path in paths):
+            found.append(f"{name}:{node.lineno}")
+    assert not found
 
 
 def test_caches_are_bounded():

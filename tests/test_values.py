@@ -20,8 +20,7 @@ from quadpoint.mcg import (
     Token,
     evaluate_word,
 )
-from quadpoint.oracle import GroupTable
-from quadpoint.orthogroup import OrthogonalMap, UMapPartition
+from quadpoint.orthogroup import GroupTable, OrthogonalMap, UMapPartition
 from quadpoint.quadform import QuadraticForm, arf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
