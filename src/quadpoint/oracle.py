@@ -127,6 +127,8 @@ def orthogonal_group_order(dim: int, arf_value: int) -> int:
     if arf_value not in (0, 1):
         raise ValueError("arf_value must be 0 or 1")
     if dim == 0:
+        if arf_value:
+            raise ValueError("genus 0 only carries the trivial form")
         return 1
     m = dim // 2
     order = 2 * (1 << (m * (m - 1)))

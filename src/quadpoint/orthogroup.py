@@ -37,7 +37,6 @@ from .gf2 import (
     rank_rows,
 )
 from .quadform import (
-    FORM_CACHE_SIZE,
     QuadraticForm,
     _columns,
     _find_flip,
@@ -121,7 +120,7 @@ class UMapPartition(_Value):
         object.__setattr__(self, "v2", v2)
 
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def umap_partition(f: QuadraticForm) -> UMapPartition:
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
@@ -169,8 +168,9 @@ def canonical_umap(f: QuadraticForm) -> OrthogonalMap:
 
 # -- decomposition into generators ------------------------------------------
 
-def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
-    """Transvection word carrying m back to the identity, one rank at a time.
+def _restoration_word(t: OrthogonalMap) -> list[BitVector]:
+    """Transvection word carrying the certified map m back to the identity,
+    one rank at a time.
 
     Step: for the current map T let q(v) = B(Tv, v).  As g(Tv) = g(v),
     g((T + I)v) = q(v).  If q(v) = 1, then w = (T + I)v has g(w) = 1, the
@@ -212,30 +212,27 @@ def _restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     off H.
 
     W and H start from _columns, the columns c_j of m with the Gram images
-    and g-values that OrthogonalMap's certificate looked up: slot j of W is
-    c_j + e_j, and slot j of H is G c_j + gram[j].  Reading p off H assumes
-    an orthogonal m: g((T + I)e_j) = g(c_j) + g(e_j) + B(c_j, e_j) is
-    q(e_j) = B(c_j, e_j) exactly when g(c_j) = g(e_j); if that fails for
-    some j, m is not orthogonal and every push folds.  On other input than
-    an orthogonal map the function returns some word or raises ValueError,
-    after at most 2 dim pushes.  The word is in application order: its
-    transvections, first entry first, compose to m.
+    that OrthogonalMap's certificate looked up: slot j of W is c_j + e_j,
+    and slot j of H is G c_j + gram[j].  The cap of 2 dim pushes and the
+    dead end with no escape raise ValueError, as guards against a fault.
+    The word is in application order: its transvections, first entry
+    first, compose to m.
     """
+    f, m = t.form, t.matrix
     dim = f.dim
     gram_g = _images(f)
     stride = _stride(dim)
     mask = (1 << dim) - 1
     ones, shifts = _ones(stride, dim), _fold(stride)
     identity = _identity_block(dim, stride)
-    cols, gram_cols, gbits = _columns(f, m.data)
+    cols, gram_cols, _ = _columns(f, m.data)
     w_block = _pack(cols, stride) ^ identity
     h_block = _pack([gc ^ g for gc, g in zip(gram_cols, f.gram.data)], stride)
-    read = gbits == f.basis_g.bits
     applied: list[int] = []
 
     def push(w: int, gw: int, p: int | None = None) -> None:
         nonlocal w_block, h_block
-        if p is None or not read:
+        if p is None:
             p = _parities((w_block ^ identity) & gw * ones, ones, shifts)
         w_block ^= p * w
         h_block ^= p * gw
@@ -295,12 +292,10 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
     rank(t - Id) mod 2.
     """
     f = t.form
-    u_flag = 0
-    work = t.matrix
     if f.dim == 4 and arf(f) == 0 and is_u_map(t):
-        u_flag = 1
-        work = multiply(work, canonical_umap(f).matrix)
-    return u_flag, _restoration_word(f, work)
+        swapped = multiply(t.matrix, canonical_umap(f).matrix)
+        return 1, _restoration_word(OrthogonalMap(f, swapped))
+    return 0, _restoration_word(t)
 
 
 def recompose(f: QuadraticForm, u_flag: int, word: Iterable[BitVector]) -> BitMatrix:

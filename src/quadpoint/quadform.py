@@ -29,10 +29,6 @@ from .gf2 import (
     rank_rows,
 )
 
-# Entries kept by each form-keyed cache, here and in orthogroup: a process
-# that meets many forms keeps only the most recent ones.
-FORM_CACHE_SIZE = 128
-
 
 class QuadraticForm(_Value):
     """A quadratic form given by its Gram matrix and basis values.
@@ -139,7 +135,7 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
 
 # -- structure --------------------------------------------------------------
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...]:
     """The greedy symplectic pairs (a_i, b_i) of a Gram matrix, with
     B(a_i, a_j) = B(b_i, b_j) = 0 and B(a_i, b_j) = delta_ij.
@@ -149,7 +145,9 @@ def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...]:
     the pair, on their Gram block updated by congruence, so that no B is
     recomputed (gf2._symplectic_pairs).  An x with no partner lies in the
     radical: ValueError("degenerate form"), which is not cached.
-    Non-degeneracy's certificate, cached per Gram, not per form.
+    Non-degeneracy's certificate, keyed by the Gram, not the form; the
+    latest Gram's pairs are kept, which recompose reads for the Gram that
+    OrthogonalMap certified one call earlier.
     """
     return tuple(_symplectic_pairs(gram.data))
 
@@ -159,7 +157,7 @@ def _require_nondegenerate(f: QuadraticForm) -> tuple[tuple[int, int], ...]:
     return _gram_pairs(f.gram)
 
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def arf(f: QuadraticForm) -> int:
     """Arf invariant: sum of g(a_i) g(b_i) over the symplectic pairs.
 

@@ -149,6 +149,10 @@ class TestGroupOrderFormula:
     def test_dim_zero(self):
         assert orthogonal_group_order(0, 0) == 1
 
+    def test_dim_zero_has_no_arf_one_form(self):
+        with pytest.raises(ValueError, match="^genus 0 only carries the trivial form$"):
+            orthogonal_group_order(0, 1)
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             orthogonal_group_order(3, 0)

@@ -505,31 +505,25 @@ class TestDecompose:
             with pytest.raises(ValueError, match="^matrix does not preserve the quadratic form$"):
                 OrthogonalMap(f, flipped)
 
-    def test_non_orthogonal_input_raises_value_error(self):
-        """The restoration either returns or raises ValueError, also under -O.
-
+    def test_non_orthogonal_input_is_rejected_at_the_edge(self):
+        """decompose takes certified maps alone: OrthogonalMap rejects each of
         900 seeded invertible non-orthogonal matrices in each of dims 4, 6
-        and 8; the cap of 2 dim transvections stops most of them.
-        """
+        and 8, drawn with the pairwise referee."""
         rng = random.Random(3)
-        outcomes = {"returned": 0, "capped": 0, "no escape": 0}
+        rejected = 0
         for dim in (4, 6, 8):
             f = standard_form(dim // 2, 1)
             drawn = 0
             while drawn < 900:
                 rows = [rng.getrandbits(dim) for _ in range(dim)]
-                if rank_rows(rows) != dim or _preserves(f, rows):
+                if rank_rows(rows) != dim or preserves_pairwise(f, rows):
                     continue
                 drawn += 1
-                try:
-                    _restoration_word(f, BitMatrix(dim, dim, tuple(rows)))
-                    outcomes["returned"] += 1
-                except ValueError as exc:
-                    key = {"restoration failed to reach the identity": "capped",
-                           "restoration found no escape from a dead end": "no escape"}
-                    outcomes[key[str(exc)]] += 1
-        assert sum(outcomes.values()) == 2700
-        assert outcomes["capped"] > 0
+                with pytest.raises(ValueError,
+                                   match="^matrix does not preserve the quadratic form$"):
+                    OrthogonalMap(f, BitMatrix(dim, dim, tuple(rows)))
+                rejected += 1
+        assert rejected == 2700
 
 
 @pytest.mark.parametrize("dim", [8, 16, 24, 26, 48, 50, 64, 66, 96, 98])
@@ -542,8 +536,9 @@ def test_restoration_matches_the_fold_referee(dim):
     for arf_value in (0, 1):
         f = seeded_form(rng, dim // 2, arf_value)
         for length in (128, 2 * dim + 1):
-            m = random_orthogonal(f, rng.getrandbits(32), length).matrix
-            word = _restoration_word(f, m)
+            t = random_orthogonal(f, rng.getrandbits(32), length)
+            m = t.matrix
+            word = _restoration_word(t)
             assert word == fold_restoration_word(f, m)
             assert recompose(f, 0, word) == m
 
@@ -724,7 +719,7 @@ def test_rank_two_dead_ends_take_four_letters(arf_value, count):
             continue
         found += 1
         m = BitMatrix(6, 6, rows)
-        word = _restoration_word(f, m)
+        word = _restoration_word(OrthogonalMap(f, m))
         assert word == fold_restoration_word(f, m)
         assert recompose(f, 0, word).data == tuple(rows)
         assert len(word) == minimum == 4

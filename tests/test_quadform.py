@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpoint.gf2 import BitMatrix, BitVector, _matvec, multiply, rank_rows
-from quadpoint.oracle import _bil_bits, _evaluate_bits
+from quadpoint.oracle import _bil_bits, _evaluate_bits, random_orthogonal
 from quadpoint.quadform import (
     QuadraticForm,
     _gram_pairs,
@@ -200,8 +200,9 @@ class TestFormCaches:
         assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
 
     def test_bounded(self):
+        """Each form cache keeps the latest form, or Gram, alone: after many
+        forms of several dimensions each holds one entry."""
         from quadpoint.orthogroup import umap_partition
-        from quadpoint.quadform import FORM_CACHE_SIZE
 
         for g in range(256):
             arf(QuadraticForm(8, standard_gram(4), BitVector(8, g)))
@@ -214,11 +215,32 @@ class TestFormCaches:
         for rows in zero_diagonal_grams(6):
             found += nondegenerate(QuadraticForm(6, BitMatrix(6, 6, tuple(rows)),
                                                  BitVector.zero(6)))
-            if found > FORM_CACHE_SIZE:
+            if found > 8:
                 break
         for cache in (_gram_pairs, arf, umap_partition):
             info = cache.cache_info()
-            assert (info.maxsize, info.currsize) == (FORM_CACHE_SIZE, FORM_CACHE_SIZE)
+            assert (info.maxsize, info.currsize) == (1, 1)
+
+    def test_one_entry_serves_the_round_trip(self):
+        """OrthogonalMap -> decompose -> recompose on three fresh forms of
+        dimension 40: each certificate misses _gram_pairs and each recompose
+        hits it, on the Gram certified one call earlier; one entry is left."""
+        from quadpoint.orthogroup import OrthogonalMap, decompose, recompose
+
+        rng = random.Random(40)
+        cases = []
+        while len(cases) < 3:
+            gram = BitMatrix(40, 40, tuple(random_gram(rng, 40)))
+            f = QuadraticForm(40, gram, BitVector(40, rng.getrandbits(40)))
+            if nondegenerate(f):
+                cases.append((f, random_orthogonal(f, rng.getrandbits(32), 128).matrix))
+        before = _gram_pairs.cache_info()
+        for f, m in cases:
+            u, word = decompose(OrthogonalMap(f, m))
+            assert recompose(f, u, word) == m
+        after = _gram_pairs.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (3, 3)
+        assert after.currsize == 1
 
 
 @settings(max_examples=60)

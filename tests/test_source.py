@@ -146,21 +146,22 @@ def test_caches_are_bounded():
 
 
 def test_one_cache_per_fact():
-    """The lru_cache functions of the package are exactly these: byte tables
-    and fold constants in gf2; per form the tables, one matrix's columns, the
-    Arf invariant and the dimension-4 partition; per Gram its symplectic
-    pairs.  No wrapper caches a fact that one of them already holds."""
-
-    def is_lru_cache(decorator):
-        func = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return (func.attr if isinstance(func, ast.Attribute) else func.id) == "lru_cache"
-
-    cached = {f"{name[:-3]}.{node.name}" for name, node in _nodes()
+    """The lru_cache functions of the package are exactly these, each with
+    its literal maxsize: byte tables and fold constants in gf2, 16 each; per
+    form the tables, one matrix's columns, the Arf invariant and the
+    dimension-4 partition, and per Gram its symplectic pairs, each keeping
+    the latest one.  No wrapper caches a fact that one of them already
+    holds."""
+    cached = {f"{name[:-3]}.{node.name}": ast.unparse(d) for name, node in _nodes()
               if isinstance(node, ast.FunctionDef)
-              and any(is_lru_cache(d) for d in node.decorator_list)}
-    assert cached == {"gf2._ones", "gf2._transpose_masks", "quadform._images",
-                      "quadform._columns", "quadform._gram_pairs", "quadform.arf",
-                      "orthogroup.umap_partition"}
+              for d in node.decorator_list if "lru_cache" in ast.unparse(d)}
+    assert cached == {"gf2._ones": "lru_cache(maxsize=16)",
+                      "gf2._transpose_masks": "lru_cache(maxsize=16)",
+                      "quadform._images": "lru_cache(maxsize=1)",
+                      "quadform._columns": "lru_cache(maxsize=1)",
+                      "quadform._gram_pairs": "lru_cache(maxsize=1)",
+                      "quadform.arf": "lru_cache(maxsize=1)",
+                      "orthogroup.umap_partition": "lru_cache(maxsize=1)"}
 
 
 def _users(names):
