@@ -131,21 +131,18 @@ class BitMatrix(_Value):
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_rows(cls, vectors: Sequence[BitVector], cols: int | None = None) -> "BitMatrix":
-        if cols is None:
-            if not vectors:
-                raise ValueError("cols is required for an empty row list")
-            cols = vectors[0].length
-        for v in vectors:
-            if v.length != cols:
-                raise ValueError("rows of unequal length")
-        return cls(len(vectors), cols, tuple(v.bits for v in vectors))
-
-    @classmethod
-    def from_strings(cls, lines: Sequence[str], cols: int | None = None) -> "BitMatrix":
-        return cls.from_rows([BitVector.from_string(s) for s in lines], cols)
+    def from_strings(cls, lines: Sequence[str]) -> "BitMatrix":
+        """Parse one 0/1 string per row, all of the same length."""
+        if not lines:
+            raise ValueError("an empty row list has no width")
+        vectors = [BitVector.from_string(s) for s in lines]
+        if len({v.length for v in vectors}) != 1:
+            raise ValueError("rows of unequal length")
+        return cls(len(vectors), vectors[0].length, tuple(v.bits for v in vectors))
 
     def row(self, i: int) -> BitVector:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         return BitVector(self.cols, self.data[i])
 
     def column(self, j: int) -> BitVector:
@@ -265,17 +262,14 @@ def _unpack(x: int, stride: int, count: int) -> list[int]:
     return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
 
 
-def _identity_block(dim: int, stride: int) -> int:
-    """The block of the rows, or the columns, of the identity: bit i of slot
-    i is bit i (stride + 1), so the block is the dim-digit repunit in base
-    2^(stride + 1)."""
-    return ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
-
-
-@lru_cache(maxsize=16)
+# 32 keys: decompose_large meets 13 dims, each with its ones and its identity.
+@lru_cache(maxsize=32)
 def _ones(stride: int, count: int) -> int:
-    """The block of count vectors equal to 1."""
-    return _pack([1] * count, stride)
+    """The block of count vectors equal to 1: the count-digit repunit in base
+    2^stride.  _ones(stride + 1, dim) is the block of the rows, or the
+    columns, of the dim x dim identity, as bit i of slot i is bit
+    i (stride + 1)."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
 
 
 def _fold(stride: int) -> list[int]:
@@ -326,7 +320,7 @@ def _product(dim: int, steps: Iterable[tuple[int, int]]) -> list[int]:
     """
     stride = _stride(dim)
     ones, shifts = _ones(stride, dim), _fold(stride)
-    rows = _identity_block(dim, stride)
+    rows = _ones(stride + 1, dim)
     for sel, add in reversed(list(steps)):
         rows = _flip(rows, add, sel, ones, shifts)
     return _unpack(rows, stride, dim)
@@ -366,7 +360,7 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     dim = len(gram)
     stride = _stride(dim)
     mask, ones = (1 << dim) - 1, _ones(stride, dim)
-    z, m, ix = _identity_block(dim, stride), _pack(gram, stride), 0
+    z, m, ix = _ones(stride + 1, dim), _pack(gram, stride), 0
     pairs = []
     while z:
         skip = ((z & -z).bit_length() - 1) // stride

@@ -21,7 +21,6 @@ from .gf2 import (
     _echelon,
     _flip,
     _fold,
-    _identity_block,
     _kernel,
     _ones,
     _pack,
@@ -106,22 +105,13 @@ def fixed_space(t: OrthogonalMap) -> list[BitVector]:
 
 # -- the exceptional dimension-4, Arf-0 geometry ----------------------------
 
-class UMapPartition(_Value):
-    """The canonical split of the six g=1 vectors into two triples.
+@lru_cache(maxsize=1)
+def umap_partition(f: QuadraticForm) -> tuple[frozenset[BitVector], frozenset[BitVector]]:
+    """The canonical split (v1, v2) of the six g=1 vectors into two triples.
 
     B = 1 between distinct vectors of the same triple, B = 0 across;
     v1 is the triple containing the lexicographically least vector.
     """
-
-    __slots__ = ("v1", "v2")
-
-    def __init__(self, v1: frozenset[BitVector], v2: frozenset[BitVector]) -> None:
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-
-
-@lru_cache(maxsize=1)
-def umap_partition(f: QuadraticForm) -> UMapPartition:
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
     _require_nondegenerate(f)
@@ -133,14 +123,13 @@ def umap_partition(f: QuadraticForm) -> UMapPartition:
     first, gfirst = ones[0], gram_g(ones[0].bits)[0]
     part1 = frozenset(v for v in ones if v == first or parity(v.bits & gfirst))
     part2 = frozenset(v for v in ones if v not in part1)
-    return UMapPartition(part1, part2)
+    return part1, part2
 
 
 def is_u_map(t: OrthogonalMap) -> bool:
     """Whether t swaps the two triples of the dimension-4 Arf-0 partition."""
-    part = umap_partition(t.form)
-    probe = min(part.v1, key=BitVector.to01)
-    return t.apply(probe) in part.v2
+    v1, v2 = umap_partition(t.form)
+    return t.apply(min(v1, key=BitVector.to01)) in v2
 
 
 def _swap_steps(f: QuadraticForm) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -152,9 +141,9 @@ def _swap_steps(f: QuadraticForm) -> tuple[tuple[int, int], tuple[int, int]]:
     the two steps, whose cross terms B(d1,d1) and B(d2,d2) are 0, so that
     they commute.
     """
-    part = umap_partition(f)
-    u1, u2 = sorted(part.v1, key=BitVector.to01)[:2]
-    v1, v2 = sorted(part.v2, key=BitVector.to01)[:2]
+    part1, part2 = umap_partition(f)
+    u1, u2 = sorted(part1, key=BitVector.to01)[:2]
+    v1, v2 = sorted(part2, key=BitVector.to01)[:2]
     d1, d2 = u1.bits ^ v1.bits, u2.bits ^ v2.bits
     gram_g = _images(f)
     return (gram_g(d2)[0], d1), (gram_g(d1)[0], d2)
@@ -224,7 +213,7 @@ def _restoration_word(t: OrthogonalMap) -> list[BitVector]:
     stride = _stride(dim)
     mask = (1 << dim) - 1
     ones, shifts = _ones(stride, dim), _fold(stride)
-    identity = _identity_block(dim, stride)
+    identity = _ones(stride + 1, dim)
     cols, gram_cols, _ = _columns(f, m.data)
     w_block = _pack(cols, stride) ^ identity
     h_block = _pack([gc ^ g for gc, g in zip(gram_cols, f.gram.data)], stride)
@@ -355,7 +344,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     if include_umap and dim == 4 and arf(f) == 0:
         gens.append(list(_swap_steps(f)))
     shifts = _fold(stride)
-    seen, level = set(), {_identity_block(dim, stride)}
+    seen, level = set(), {_ones(stride + 1, dim)}
     while level:
         seen |= level
         block, count = _pack(level, dim * stride), len(level)
@@ -374,7 +363,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
 def matrix_key(m: BitMatrix) -> str:
     """Canonical sort key: the row-major bit string, bit j of a row at its
     character j."""
-    return "".join([format(r, f"0{m.cols}b")[::-1] for r in m.data])
+    return "".join([format(r, f"0{m.cols}b")[::-1][:m.cols] for r in m.data])
 
 
 class GroupTable(_Value):

@@ -15,7 +15,6 @@ from quadpoint.gf2 import (
     BitVector,
     _combine,
     _fold,
-    _identity_block,
     _matvec,
     _ones,
     _pack,
@@ -296,8 +295,8 @@ def fold_restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     stride = _stride(dim)
     mask = (1 << dim) - 1
     ones = _ones(stride, dim)
-    diagonal = ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
-    identity = _identity_block(dim, stride)
+    # the identity columns, bit i of slot i, worked out here and not taken from gf2
+    identity = ((1 << dim * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
     columns = _transpose(m.data, dim)
     cols = _pack(columns, stride)
     gcols = _pack([gram_g(c)[0] for c in columns], stride)
@@ -314,7 +313,7 @@ def fold_restoration_word(f: QuadraticForm, m: BitMatrix) -> list[BitVector]:
     while cols != identity:
         if len(applied) >= 2 * dim:
             raise ValueError("restoration failed to reach the identity")
-        q = gcols & diagonal
+        q = gcols & identity
         if q:
             i = ((q & -q).bit_length() - 1) // stride
             push(cols >> (i * stride) & mask ^ 1 << i)

@@ -11,7 +11,6 @@ from quadpoint.gf2 import (
     BitVector,
     _echelon,
     _fold,
-    _identity_block,
     _kernel,
     _matvec,
     _mul_rows,
@@ -57,6 +56,26 @@ class TestBitTypes:
         m = BitMatrix.from_strings(["110", "011"])
         assert m.column(1).to01() == "11"
         assert m.transpose().to01_rows() == ["10", "11", "01"]
+
+    def test_index_range(self):
+        """row, column and BitVector indexing take 0 <= i < length only: a
+        negative index raises IndexError, as it would past the end."""
+        m = BitMatrix.identity(3)
+        assert m.row(2).to01() == "001"
+        for bad in (-1, 3):
+            with pytest.raises(IndexError):
+                m.row(bad)
+            with pytest.raises(IndexError):
+                m.column(bad)
+            with pytest.raises(IndexError):
+                BitVector(3, 1)[bad]
+
+    def test_from_strings_rejects_no_rows_and_ragged_rows(self):
+        with pytest.raises(ValueError, match="^an empty row list has no width$"):
+            BitMatrix.from_strings([])
+        with pytest.raises(ValueError, match="^rows of unequal length$"):
+            BitMatrix.from_strings(["01", "1"])
+        assert BitMatrix.from_strings(["", ""]) == BitMatrix(2, 0, (0, 0))
 
     def test_apply(self):
         m = BitMatrix.from_strings(["110", "011"])
@@ -290,14 +309,18 @@ def test_pack_round_trip(width):
 
 
 def test_identity_block_is_the_packed_identity():
-    """The repunit closed form is the packed identity rows at the block
-    stride of every dim up to 256, strides 2^k and 3 * 2^k alike."""
+    """The repunit _ones(s, n) is the packed block of n ones at every stride
+    s of dims 0 to 256, strides 2^k and 3 * 2^k alike, and _ones(s + 1, dim)
+    is the packed identity rows at the block stride of dim."""
     strides = set()
     for dim in range(257):
         stride = _stride(dim)
         strides.add(stride)
-        assert _identity_block(dim, stride) == _pack([1 << i for i in range(dim)], stride)
+        assert _ones(stride + 1, dim) == _pack([1 << i for i in range(dim)], stride)
     assert strides == {8, 16, 24, 32, 48, 64, 96, 128, 192, 256}
+    for stride in strides:
+        for count in range(257):
+            assert _ones(stride, count) == _pack([1] * count, stride)
 
 
 @pytest.mark.parametrize("stride", [8, 16, 24, 32, 48, 64, 96, 128, 192])

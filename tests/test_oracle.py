@@ -169,6 +169,14 @@ class TestGroupTable:
         assert [matrix_key(m) for m in table.elements] == ["0110", "1001"]
         assert table.psi_values == (1, 0)
 
+    def test_matrix_key_gives_cols_characters_per_row(self):
+        """A row of width w is exactly w characters, bit j at character j,
+        width 0 included."""
+        assert matrix_key(BitMatrix(2, 0, (0, 0))) == ""
+        assert matrix_key(BitMatrix(0, 0, ())) == ""
+        assert matrix_key(BitMatrix(1, 1, (0,))) == "0"
+        assert matrix_key(BitMatrix.from_strings(["100", "011"])) == "100011"
+
     def test_oracle_returns_the_engine_class(self):
         # filter_full_linear_group returns the table enumerate prints, and
         # benchmark/tracer.py wraps oracle.GroupTable.from_elements: the name

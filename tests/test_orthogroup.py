@@ -348,17 +348,17 @@ class TestFixedSpace:
 
 class TestUmapPartition:
     def test_standard(self):
-        part = umap_partition(F20)
+        part1, part2 = umap_partition(F20)
         ones = set(g_one_vectors(F20))
-        assert part.v1 | part.v2 == ones
-        assert len(part.v1) == len(part.v2) == 3
-        assert min(ones, key=BitVector.to01) in part.v1
-        for s in (part.v1, part.v2):
+        assert part1 | part2 == ones
+        assert len(part1) == len(part2) == 3
+        assert min(ones, key=BitVector.to01) in part1
+        for s in (part1, part2):
             for x in s:
                 for y in s:
                     assert bilinear(F20, x, y) == (x != y)
-        for x in part.v1:
-            for y in part.v2:
+        for x in part1:
+            for y in part2:
                 assert bilinear(F20, x, y) == 0
 
     def test_wrong_arf(self):
@@ -379,9 +379,9 @@ class TestCanonicalUmap:
 
     def test_exchanges_parts(self):
         u0 = canonical_umap(F20)
-        part = umap_partition(F20)
-        assert {u0.apply(v) for v in part.v1} == set(part.v2)
-        assert {u0.apply(v) for v in part.v2} == set(part.v1)
+        part1, part2 = umap_partition(F20)
+        assert {u0.apply(v) for v in part1} == set(part2)
+        assert {u0.apply(v) for v in part2} == set(part1)
 
     def test_contract_on_every_form(self):
         """On all 280 dim-4 Arf-0 forms: u1, u2 go to v1, v2 in order, the map is
@@ -391,9 +391,9 @@ class TestCanonicalUmap:
         swap = [1 << 2, 1 << 3, 1 << 0, 1 << 1]
         count = 0
         for f in dim4_arf0_forms():
-            part = umap_partition(f)
-            u1, u2 = sorted(part.v1, key=BitVector.to01)[:2]
-            v1, v2 = sorted(part.v2, key=BitVector.to01)[:2]
+            part1, part2 = umap_partition(f)
+            u1, u2 = sorted(part1, key=BitVector.to01)[:2]
+            v1, v2 = sorted(part2, key=BitVector.to01)[:2]
             m = canonical_umap(f).matrix
             assert (m.apply(u1), m.apply(u2)) == (v1, v2)
             assert bit_product(m.data, m.data) == [1 << i for i in range(4)]
@@ -403,8 +403,8 @@ class TestCanonicalUmap:
                                                rref_inverse(change))
             steps = _swap_steps(f)
             assert _product(4, steps) == _product(4, steps[::-1]) == list(m.data)
-            assert {m.apply(v) for v in part.v1} == set(part.v2)
-            assert {m.apply(v) for v in part.v2} == set(part.v1)
+            assert {m.apply(v) for v in part1} == set(part2)
+            assert {m.apply(v) for v in part2} == set(part1)
             count += 1
         assert count == 280
 

@@ -242,6 +242,30 @@ class TestFormCaches:
         assert (after.misses - before.misses, after.hits - before.hits) == (3, 3)
         assert after.currsize == 1
 
+    def test_ones_holds_the_block_constants_of_every_dim(self):
+        """gf2._ones holds the ones and the identity block of the 13 dims 52,
+        54, ..., 76 that the large decompositions draw, 26 keys: a second
+        OrthogonalMap -> decompose -> recompose pass over them adds no miss."""
+        from quadpoint.gf2 import _ones
+        from quadpoint.orthogroup import OrthogonalMap, decompose, recompose
+
+        rng = random.Random(52)
+        cases = []
+        for dim in range(52, 77, 2):
+            f = None
+            while f is None or not nondegenerate(f):
+                gram = BitMatrix(dim, dim, tuple(random_gram(rng, dim)))
+                f = QuadraticForm(dim, gram, BitVector(dim, rng.getrandbits(dim)))
+            cases.append((f, random_orthogonal(f, rng.getrandbits(32), 128).matrix))
+        misses = []
+        for _ in range(2):
+            before = _ones.cache_info().misses
+            for f, m in cases:
+                u, word = decompose(OrthogonalMap(f, m))
+                assert recompose(f, u, word) == m
+            misses.append(_ones.cache_info().misses - before)
+        assert misses[0] <= 26 and misses[1] == 0
+
 
 @settings(max_examples=60)
 @given(st.data())

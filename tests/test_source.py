@@ -147,15 +147,16 @@ def test_caches_are_bounded():
 
 def test_one_cache_per_fact():
     """The lru_cache functions of the package are exactly these, each with
-    its literal maxsize: byte tables and fold constants in gf2, 16 each; per
-    form the tables, one matrix's columns, the Arf invariant and the
+    its literal maxsize: in gf2 the repunits, 32 for the ones and identity
+    blocks of the 13 dims a large run meets, and the transpose masks, 16;
+    per form the tables, one matrix's columns, the Arf invariant and the
     dimension-4 partition, and per Gram its symplectic pairs, each keeping
     the latest one.  No wrapper caches a fact that one of them already
     holds."""
     cached = {f"{name[:-3]}.{node.name}": ast.unparse(d) for name, node in _nodes()
               if isinstance(node, ast.FunctionDef)
               for d in node.decorator_list if "lru_cache" in ast.unparse(d)}
-    assert cached == {"gf2._ones": "lru_cache(maxsize=16)",
+    assert cached == {"gf2._ones": "lru_cache(maxsize=32)",
                       "gf2._transpose_masks": "lru_cache(maxsize=16)",
                       "quadform._images": "lru_cache(maxsize=1)",
                       "quadform._columns": "lru_cache(maxsize=1)",
@@ -252,8 +253,8 @@ def test_packed_block_stays_behind_gf2_and_orthogroup():
     restoration's transpose of H alone; the restoration reads Fix(T) and
     tests the escape's candidates off H, and masks its diagonal with the
     identity block."""
-    block = {"_pack", "_unpack", "_flip", "_stride", "_identity_block", "_transpose_block",
-             "_parities", "_ones", "_fold"}
+    block = {"_pack", "_unpack", "_flip", "_stride", "_transpose_block", "_parities", "_ones",
+             "_fold"}
     assert _users(block) <= {"gf2.py", "orthogroup.py"}
     assert set(_callers("_mul_rows")) == {"gf2.py:multiply", "quadform.py:_pullback_bits"}
     assert set(_callers("_tables")) == set(_callers("_lookup")) == {"quadform.py:_images"}

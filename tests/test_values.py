@@ -20,7 +20,7 @@ from quadpoint.mcg import (
     Token,
     evaluate_word,
 )
-from quadpoint.orthogroup import GroupTable, OrthogonalMap, UMapPartition
+from quadpoint.orthogroup import GroupTable, OrthogonalMap
 from quadpoint.quadform import QuadraticForm, arf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,8 +40,6 @@ BUILDERS = {
     BitMatrix: _swap,
     QuadraticForm: _form,
     OrthogonalMap: lambda: OrthogonalMap(_form(), _swap()),
-    UMapPartition: lambda: UMapPartition(frozenset({BitVector(4, 1)}),
-                                         frozenset({BitVector(4, 2)})),
     SurfacePinkallForm: lambda: SurfacePinkallForm(1, _form()),
     MappingClass: lambda: MappingClass(_swap(), 1),
     Token: lambda: Token("twist", BitVector(2, 1)),
@@ -65,7 +63,7 @@ def test_equal_fields_equal_values(cls):
 
 def test_equal_fields_across_classes_differ():
     pair = ((BitVector(2, 1),), (BitVector(2, 2),))
-    assert GroupTable(*pair) != UMapPartition(*pair)
+    assert GroupTable(*pair) != Token(*pair)
     assert BitVector(2, 1) != Token(2, 1)
 
 
