@@ -134,27 +134,22 @@ def in_orthogonal_mcg(s: SurfacePinkallForm, h: MappingClass) -> bool:
     return _columns(s.form, h.action.data)[2] == s.form.basis_g.bits
 
 
-def _parity(s: SurfacePinkallForm, h: MappingClass, not_member: ValueError) -> int:
-    """rank(h* - Id) + (genus + 1) eps(h), mod 2; raises not_member when h
-    does not preserve the form (in_orthogonal_mcg checks the dimension)."""
+def quadruple_point_invariant(s: SurfacePinkallForm, h: MappingClass) -> int:
+    """Parity of quadruple points between the immersion and its h-composition:
+    rank(h* - Id) + (genus + 1) eps(h), mod 2.
+
+    Defined only when the two are regularly homotopic, i.e. when h
+    preserves the induced form (in_orthogonal_mcg checks the dimension).
+    """
     if not in_orthogonal_mcg(s, h):
-        raise not_member
+        raise NotRegularlyHomotopicError(
+            "not regularly homotopic: the class does not preserve the induced form")
     return (rank_parity(h.action) + (s.genus + 1) * h.epsilon) & 1
 
 
 def mapping_class_parity(s: SurfacePinkallForm, h: MappingClass) -> int:
-    """rank(h* - Id) + (genus + 1) eps(h), mod 2."""
-    return _parity(s, h, ValueError("mapping class does not preserve the form"))
-
-
-def quadruple_point_invariant(s: SurfacePinkallForm, h: MappingClass) -> int:
-    """Parity of quadruple points between the immersion and its h-composition.
-
-    Defined only when the two are regularly homotopic, i.e. when h
-    preserves the induced form.
-    """
-    return _parity(s, h, NotRegularlyHomotopicError(
-        "not regularly homotopic: the class does not preserve the induced form"))
+    """rank(h* - Id) + (genus + 1) eps(h), mod 2: the quadruple point invariant."""
+    return quadruple_point_invariant(s, h)
 
 
 def regularly_homotopic(s1: SurfacePinkallForm, s2: SurfacePinkallForm) -> bool:
@@ -190,19 +185,14 @@ GENUS1_GENERATORS: dict[int, tuple[tuple[str, tuple[tuple[int, int], tuple[int, 
 }
 
 
-def _reduce_integer_class(entries: tuple[tuple[int, int], tuple[int, int]]) -> MappingClass:
-    (a, b), (c, d) = entries
-    action = BitMatrix(2, 2, ((a & 1) | ((b & 1) << 1), (c & 1) | ((d & 1) << 1)))
-    det = a * d - b * c
-    return MappingClass(action, 0 if det > 0 else 1)
-
-
 def genus1_generators(arf_value: int) -> list[MappingClass]:
     """Mod-2 reductions of the torus generator matrices, with orientation
     bits from the sign of the integer determinant."""
     if arf_value not in (0, 1):
         raise ValueError("arf_value must be 0 or 1")
-    return [_reduce_integer_class(entries) for _, entries in GENUS1_GENERATORS[arf_value]]
+    return [MappingClass(BitMatrix(2, 2, ((a & 1) | (b & 1) << 1, (c & 1) | (d & 1) << 1)),
+                         0 if a * d - b * c > 0 else 1)
+            for _, ((a, b), (c, d)) in GENUS1_GENERATORS[arf_value]]
 
 
 def connected_sum(h1: MappingClass, h2: MappingClass) -> MappingClass:

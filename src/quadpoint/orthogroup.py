@@ -40,7 +40,7 @@ from .quadform import (
     _columns,
     _find_flip,
     _images,
-    _preserves,
+    _pullback_bits,
     _require_nondegenerate,
     arf,
     evaluate,
@@ -57,11 +57,17 @@ def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
 
 
 def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
-    """Whether m preserves g; such an m is invertible, as f is non-degenerate."""
+    """Whether m^T gram m = gram and g(m e_i) = g(e_i) for every i.
+
+    By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
+    form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
+    The columns' Gram images and g-values it reads through _pullback_bits
+    stay in _columns' cache, where the restoration of the same m reads them.
+    """
     _require_nondegenerate(f)
     if not m.is_square() or m.rows != f.dim:
         raise ValueError("dimension mismatch")
-    return _preserves(f, m.data)
+    return _pullback_bits(f, m.data) == (f.gram.data, f.basis_g.bits)
 
 
 class OrthogonalMap(_Value):
@@ -74,9 +80,6 @@ class OrthogonalMap(_Value):
             raise ValueError("matrix does not preserve the quadratic form")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "matrix", matrix)
-
-    def apply(self, v: BitVector) -> BitVector:
-        return self.matrix.apply(v)
 
 
 def transvection(f: QuadraticForm, a: BitVector) -> OrthogonalMap:
@@ -129,7 +132,7 @@ def umap_partition(f: QuadraticForm) -> tuple[frozenset[BitVector], frozenset[Bi
 def is_u_map(t: OrthogonalMap) -> bool:
     """Whether t swaps the two triples of the dimension-4 Arf-0 partition."""
     v1, v2 = umap_partition(t.form)
-    return t.apply(min(v1, key=BitVector.to01)) in v2
+    return t.matrix.apply(min(v1, key=BitVector.to01)) in v2
 
 
 def _swap_steps(f: QuadraticForm) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -106,17 +106,6 @@ def _pullback_bits(f: QuadraticForm, rows: Sequence[int]) -> tuple[tuple[int, ..
     return tuple(_mul_rows(gram_cols, rows, f.dim)), gbits
 
 
-def _preserves(f: QuadraticForm, rows: Sequence[int]) -> bool:
-    """Whether m^T gram m = gram and g(m e_i) = g(e_i) for every i.
-
-    By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
-    form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
-    The columns' Gram images and g-values it reads through _pullback_bits
-    stay in _columns' cache, where the restoration of the same m reads them.
-    """
-    return _pullback_bits(f, rows) == (f.gram.data, f.basis_g.bits)
-
-
 # -- evaluation -------------------------------------------------------------
 
 def evaluate(f: QuadraticForm, v: BitVector) -> int:

@@ -161,6 +161,17 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stdout == "verify fail\n"
 
+    def test_verify_g_zero_letter(self, tmp_path):
+        """11/01 is the transvection along e_0, where g(e_0) = 0: not orthogonal,
+        so the decomposition naming e_0 is refused, not verified."""
+        dec = tmp_path / "dec.txt"
+        dec.write_text("u 0\n10\n")
+        res = run_cli(["verify", "--form", "data/form_g1a0.txt", "--matrix", "11/01",
+                       "--decomposition", str(dec)])
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == ("error precondition: word vector must satisfy "
+                              "g(c) = 1 or c = 0\n")
+
     @pytest.mark.parametrize("form,matrix", [
         ("data/form_deg3.txt", "100/010/001"),
         ("data/form_deg4.txt", "1000/0100/0010/0001"),

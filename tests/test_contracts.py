@@ -5,7 +5,8 @@ annotates a parameter as a QuadraticForm or a SurfacePinkallForm is listed
 here exactly once: either it rejects a degenerate form with the ValueError
 named below, or it is form-agnostic, for the reason given.  A new public
 name that takes a form fails test_every_form_entry_point_is_listed until it
-is listed.
+is listed.  REJECTIONS adds the other preconditions no other test breaks,
+each with the exact message it raises.
 """
 
 import importlib
@@ -19,7 +20,8 @@ import pytest
 import quadpoint
 from quadpoint import mcg, oracle, orthogroup, quadform
 from quadpoint.gf2 import BitMatrix, BitVector
-from quadpoint.quadform import QuadraticForm
+from quadpoint.mcg import MappingClass, SurfacePinkallForm
+from quadpoint.quadform import QuadraticForm, standard_form
 
 from conftest import DEG3, DEG4, random_gram, rref
 
@@ -169,3 +171,52 @@ def test_contract_holds_on_seeded_inputs():
         except ValueError:
             continue
         pytest.fail(f"{name} returned {result!r} on {f!r}")
+
+
+S10 = SurfacePinkallForm.standard(1, 0)
+# name: (a call that breaks one precondition, the exact message it raises).
+REJECTIONS = {
+    "rank_parity non-square": (
+        lambda: orthogroup.rank_parity(BitMatrix.zero(2, 3)), "square matrix required"),
+    "equivalent genus mismatch": (
+        lambda: mcg.equivalent_up_to_diffeomorphism(S10, SurfacePinkallForm.standard(2, 0)),
+        "genus mismatch"),
+    "evaluate_word unknown token": (
+        lambda: mcg.evaluate_word(S10, [mcg.Token("spin")]), "unknown token kind: spin"),
+    "in_orthogonal_mcg dimension": (
+        lambda: mcg.in_orthogonal_mcg(S10, MappingClass(BitMatrix.identity(4), 0)),
+        "dimension mismatch"),
+    "standard_form genus 0 arf 1": (
+        lambda: standard_form(0, 1), "genus 0 only carries the trivial form"),
+    "QuadraticForm gram shape": (
+        lambda: QuadraticForm(2, BitMatrix.zero(2, 3), BitVector.zero(2)),
+        "Gram matrix does not match the dimension"),
+    "QuadraticForm basis length": (
+        lambda: QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(3)),
+        "basis value vector does not match the dimension"),
+    "bilinear length": (
+        lambda: quadform.bilinear(standard_form(1, 0), BitVector.zero(3), BitVector.zero(2)),
+        "length mismatch"),
+    "BitVector negative length": (lambda: BitVector(-1, 0), "length must be non-negative"),
+    "BitVector.basis index": (
+        lambda: BitVector.basis(3, 3), "basis index 3 out of range for length 3"),
+    "BitVector xor length": (lambda: BitVector.zero(2) ^ BitVector.zero(3), "length mismatch"),
+    "BitMatrix negative rows": (
+        lambda: BitMatrix(-1, 2, ()), "matrix dimensions must be non-negative"),
+    "BitMatrix row count": (lambda: BitMatrix(2, 2, (0,)), "row count does not match data"),
+    "BitMatrix.apply length": (
+        lambda: BitMatrix.identity(2).apply(BitVector.zero(3)), "length mismatch"),
+    "BitMatrix xor shape": (
+        lambda: BitMatrix.identity(2) ^ BitMatrix.zero(2, 3), "shape mismatch"),
+    "random_orthogonal dimension 0": (
+        lambda: oracle.random_orthogonal(standard_form(0, 0), 1, 1),
+        "the zero-dimensional form has no g=1 vectors"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_rejections_name_their_precondition(name):
+    """Each broken precondition raises ValueError with exactly its message."""
+    call, message = REJECTIONS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -282,8 +282,10 @@ class TestParityInvariant:
             assert mapping_class_parity(s, h) == (genus + 1) % 2
 
     def test_membership_required(self):
+        """The same refusal as quadruple_point_invariant's."""
         bad = twist_class(S10, BitVector.basis(2, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotRegularlyHomotopicError, match="^not regularly homotopic: "
+                           "the class does not preserve the induced form$"):
             mapping_class_parity(S10, bad)
 
     @settings(max_examples=100)

@@ -51,7 +51,6 @@ from quadpoint.orthogroup import (
 )
 from quadpoint.quadform import (
     QuadraticForm,
-    _preserves,
     _pullback_bits,
     _require_nondegenerate,
     arf,
@@ -109,10 +108,10 @@ def one_bit_flipped(rng, rows):
 
 
 def checked_preserves(f, rows):
-    """_preserves, asserted equal to the pairwise referee's answer (on these
+    """is_orthogonal, asserted equal to the pairwise referee's answer (on these
     non-degenerate forms, preserving g already makes the rows invertible)."""
     expected = preserves_pairwise(f, rows)
-    assert _preserves(f, rows) == expected
+    assert is_orthogonal(f, BitMatrix(f.dim, f.dim, tuple(rows))) == expected
     return expected
 
 
@@ -190,7 +189,7 @@ class TestTransvection:
         for v in all_vectors(2):
             expected = v if bilinear(F11, v, BitVector.from_string("11")) == 0 \
                 else v ^ BitVector.from_string("11")
-            assert t.apply(v) == expected
+            assert t.matrix.apply(v) == expected
 
     def test_involution(self):
         rng = random.Random(5)
@@ -380,8 +379,8 @@ class TestCanonicalUmap:
     def test_exchanges_parts(self):
         u0 = canonical_umap(F20)
         part1, part2 = umap_partition(F20)
-        assert {u0.apply(v) for v in part1} == set(part2)
-        assert {u0.apply(v) for v in part2} == set(part1)
+        assert {u0.matrix.apply(v) for v in part1} == set(part2)
+        assert {u0.matrix.apply(v) for v in part2} == set(part1)
 
     def test_contract_on_every_form(self):
         """On all 280 dim-4 Arf-0 forms: u1, u2 go to v1, v2 in order, the map is
@@ -451,6 +450,15 @@ class TestDecompose:
         for f in (F20, F21):
             with pytest.raises(ValueError, match="^u_flag must be 0 or 1$"):
                 recompose(f, u_flag, [])
+
+    def test_g_zero_letter_rejected(self):
+        """A nonzero letter with g(c) = 0 gives a transvection that moves g,
+        so recompose refuses it rather than return a non-orthogonal product."""
+        for f in (F10, F20, F21):
+            c = next(v for v in all_vectors(f.dim) if not v.is_zero() and not evaluate(f, v))
+            with pytest.raises(ValueError,
+                               match=r"^word vector must satisfy g\(c\) = 1 or c = 0$"):
+                recompose(f, 0, [c])
 
     def test_u_flag_only_for_u_maps(self, small_groups):
         f = F20

@@ -1,6 +1,7 @@
 """Quadratic forms: evaluation, classification, bases, connectors."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,6 +447,22 @@ class TestFindConnector:
             c = find_connector(f, [w], a1, a2)
             connector_postconditions(f, [w], a1, a2, c)
             trials += 1
+
+    @pytest.mark.parametrize("ws,a1,a2,message", [
+        ("10", "1000", "1000", "length mismatch"),
+        ("0010", "1000", "1000", "w[0] must have g = 1"),
+        ("1000/0100", "1000", "1000", "w[0] and w[1] must be orthogonal"),
+        ("1000/1000", "1000", "1000", "w vectors must be independent"),
+        ("1000", "0100", "0100", "a1 must be orthogonal to w[0]"),
+        ("1000", "1000", "1000", "a1 must lie outside the span of the w vectors"),
+        ("", "1000", "0100", "a1 and a2 must be orthogonal"),
+    ])
+    def test_rejected_inputs(self, ws, a1, a2, message):
+        """On F21, where g(e_0) = g(e_1) = 1, g(e_2) = 0 and B(e_0, e_1) = 1;
+        ws lists the w vectors, separated by slashes."""
+        vectors = [BitVector.from_string(w) for w in ws.split("/") if w]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_connector(F21, vectors, BitVector.from_string(a1), BitVector.from_string(a2))
 
     def test_excluded_dim2_arf0(self):
         a = BitVector.from_string("11")  # the only g=1 vector

@@ -201,8 +201,8 @@ def test_private_names_have_users():
 
 def test_mcg_certifies_each_half_once():
     """MappingClass proves m^T J m = J itself and in_orthogonal_mcg reads only
-    the g half off _columns: mcg names neither form-level certificate."""
-    users = _users({"_preserves", "_pullback_bits"})
+    the g half off _columns: mcg never names the form-level certificate."""
+    users = _users({"_pullback_bits"})
     assert users and "mcg.py" not in users
 
 
