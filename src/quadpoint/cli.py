@@ -214,6 +214,3 @@ def main(argv=None) -> int:
         print(f"error precondition: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,7 +7,8 @@ Word:           one token per line: ``twist <bits>``, ``square <bits>``,
                 ``flip``, ``umap``.
 Decomposition:  ``u <0|1>``, then one bit string per word vector.
 
-An inline vector (a CLI argument without '/') is a 1 x n matrix.
+Every line counts, blank ones too (an r x 0 matrix is r blank rows), except
+in a word.  An inline vector (a CLI argument without '/') is a 1 x n matrix.
 Structural problems raise FormatError; semantic ones (a non-symmetric
 Gram, say) surface as ValueError from the domain types.
 """
@@ -24,10 +25,7 @@ class FormatError(Exception):
 
 
 def _lines(text: str) -> list[str]:
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    while lines and not lines[-1]:
-        lines.pop()
-    return lines
+    return [ln.rstrip() for ln in text.splitlines()]
 
 
 def _bits(token: str, what: str) -> BitVector:

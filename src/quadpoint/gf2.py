@@ -81,11 +81,6 @@ class BitVector(_Value):
             raise ValueError(f"not a bit string: {s!r}")
         return cls(len(s), sum(1 << i for i, ch in enumerate(s) if ch == "1"))
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError("length mismatch")
@@ -96,9 +91,6 @@ class BitVector(_Value):
 
     def to01(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
-
-    def __str__(self) -> str:
-        return self.to01()
 
 
 class BitMatrix(_Value):

@@ -252,15 +252,15 @@ def _restoration_word(t: OrthogonalMap) -> list[BitVector]:
         gc, hc = gram_g(c)[0], _combine(hcols, c)  # hc = G (T + I)c
         rhs = 1 << dim
         system = _echelon([gc | rhs, hc])
+        # s0 exists: the system fails only when gc is 0 or hc, so when c or T c
+        # is 0, yet g(c) = 1 and T is invertible.
         s0 = _solution(system, rhs)
         # x lies in span(Fix(T), c) exactly when (T + I)x is 0 or (T + I)c, so,
         # G being invertible, when G (T + I)x is 0 or hc.  Each kernel vector k is
         # e_j plus at most two pivots: G (T + I)k is at most three slots of H.
-        v = None
-        if s0 is not None:
-            hs0 = _combine(hcols, s0)
-            v = next((s0 ^ k for k in chain((0,), _kernel(system, dim))
-                      if hs0 ^ _combine(hcols, k) not in (0, hc)), None)
+        hs0 = _combine(hcols, s0)
+        v = next((s0 ^ k for k in chain((0,), _kernel(system, dim))
+                  if hs0 ^ _combine(hcols, k) not in (0, hc)), None)
         if v is None:
             raise ValueError("restoration found no escape from a dead end")
         w = _combine(_unpack(w_block, stride, dim), v) ^ c
@@ -351,7 +351,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     while level:
         seen |= level
         block, count = _pack(level, dim * stride), len(level)
-        ones = _ones(stride, count * dim)
+        ones = _ones.__wrapped__(stride, count * dim)  # one use: not cached
         nxt = set()
         for steps in gens:
             prod = block

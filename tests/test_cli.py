@@ -507,6 +507,28 @@ def test_usage_error_messages(case):
     assert run_main(argv) == (1, "", f"error usage: {message}\n")
 
 
+VERIFY_SWAP2 = ["verify", "--form", FORM, "--matrix", str(DATA / "swap2.txt"), "--decomposition"]
+# Format rejections the CLI reaches: the command line, less the file that
+# follows it, the file's text and the message.
+PARSE_ERRORS = {
+    "form-line": (["arf", "--form"], "forms 2\ng 00\n01\n10\n",
+                  "expected 'form <dim>', got 'forms 2'"),
+    "g-line": (["arf", "--form"], "form 2\nh 00\n01\n10\n",
+               "expected 'g <bits>', got 'h 00'"),
+    "gram-rows": (["arf", "--form"], "form 2\ng 00\n01\n", "expected 2 Gram rows, got 1"),
+    "empty-decomposition": (VERIFY_SWAP2, "", "empty decomposition text"),
+    "u-line": (VERIFY_SWAP2, "u 2\n10\n", "expected 'u <0|1>', got 'u 2'"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_messages(case, tmp_path):
+    argv, text, message = PARSE_ERRORS[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert run_main([*argv, str(path)]) == (1, "", f"error parse: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["arf", "--form=data/form_g1a1.txt"],
                                   ["catalog", "--genus=1", "--arf", "1"],
                                   ["arf", "--form", "data/form_g1a0.txt",

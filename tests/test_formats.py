@@ -3,7 +3,9 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import bit_matrices, bit_vectors
 from quadpoint.formats import (
     FormatError,
     dump_decomposition,
@@ -18,7 +20,7 @@ from quadpoint.formats import (
 )
 from quadpoint.gf2 import BitMatrix, BitVector
 from quadpoint.mcg import FLIP, UMAP, SurfacePinkallForm, square, twist
-from quadpoint.quadform import standard_form
+from quadpoint.quadform import QuadraticForm, standard_form
 
 
 def test_matrix_round_trip():
@@ -35,6 +37,8 @@ def test_matrix_strictness():
         parse_matrix("2\n01\n10\n")
     with pytest.raises(FormatError):
         parse_matrix("")
+    with pytest.raises(FormatError, match="^expected 1 matrix rows, got 2$"):
+        parse_matrix("1 2\n01\n\n")  # a blank line is a row, of width 0
 
 
 def test_form_round_trip():
@@ -120,6 +124,34 @@ def test_decomposition_round_trip():
     text = dump_decomposition(1, word)
     assert parse_decomposition(text) == (1, word)
     assert parse_decomposition("u 0\n") == (0, [])
+
+
+@st.composite
+def quadratic_forms(draw, max_dim=6):
+    """Any symmetric zero-diagonal Gram, degenerate or not, with any g."""
+    dim = draw(st.integers(0, max_dim))
+    upper = [draw(st.integers(0, (1 << dim) - 1)) >> (i + 1) << (i + 1) for i in range(dim)]
+    gram = [upper[i] | sum((upper[j] >> i & 1) << j for j in range(i)) for i in range(dim)]
+    return QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)), draw(bit_vectors(dim)))
+
+
+@st.composite
+def decomposition_values(draw):
+    length = draw(st.integers(0, 6))
+    return draw(st.integers(0, 1)), draw(st.lists(bit_vectors(length), max_size=4))
+
+
+@pytest.mark.parametrize("dump, parse, values", [
+    (dump_matrix, parse_matrix, bit_matrices()),
+    (dump_form, parse_form, quadratic_forms()),
+    (lambda d: dump_decomposition(*d), parse_decomposition, decomposition_values()),
+], ids=["matrix", "form", "decomposition"])
+@given(data=st.data())
+def test_every_dump_parses_back(dump, parse, values, data):
+    """Each writer's text parses back to its value, empty shapes included: an
+    r x 0 matrix, a dimension-0 form, a word of length-0 vectors."""
+    value = data.draw(values)
+    assert parse(dump(value)) == value
 
 
 def test_inline_matrix():

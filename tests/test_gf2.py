@@ -58,8 +58,8 @@ class TestBitTypes:
         assert m.transpose().to01_rows() == ["10", "11", "01"]
 
     def test_index_range(self):
-        """row, column and BitVector indexing take 0 <= i < length only: a
-        negative index raises IndexError, as it would past the end."""
+        """row and column take 0 <= i < length only: a negative index raises
+        IndexError, as it would past the end."""
         m = BitMatrix.identity(3)
         assert m.row(2).to01() == "001"
         for bad in (-1, 3):
@@ -67,8 +67,6 @@ class TestBitTypes:
                 m.row(bad)
             with pytest.raises(IndexError):
                 m.column(bad)
-            with pytest.raises(IndexError):
-                BitVector(3, 1)[bad]
 
     def test_from_strings_rejects_no_rows_and_ragged_rows(self):
         with pytest.raises(ValueError, match="^an empty row list has no width$"):

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts: each runs to completion and reports
 figures that agree with each other."""
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,13 @@ def test_parity_on_symplectic():
     assert lines[12] == f"psi(T) = {pt}"
     assert lines[13] == f"psi(S T) = {pst} != {ps ^ pt}"
     assert pst != ps ^ pt
+
+
+def test_reach_allow_list_holds_its_lines():
+    """Each line that reach.py allows to go unreached still holds the text
+    recorded for it, so the allow-list follows its lines when code moves."""
+    reach = runpy.run_path(str(SCRIPTS / "reach.py"))
+    for key, (text, _) in reach["ALLOWED"].items():
+        name, line = key.split(":")
+        source = (reach["PACKAGE"] / name).read_text(encoding="utf-8").splitlines()
+        assert source[int(line) - 1].strip() == text, key
