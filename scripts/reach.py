@@ -32,11 +32,11 @@ PACKAGE = SRC / "quadpoint"
 
 # file:line -> (the line's text, why no input reaches it).
 ALLOWED = {
-    "orthogroup.py:235": (
+    "orthogroup.py:232": (
         'raise ValueError("restoration failed to reach the identity")',
         "fault guard: each push lowers rank(T + I), and each dead end costs two "
         "letters at a lower even rank, so a certified map ends within 2 dim pushes"),
-    "orthogroup.py:265": (
+    "orthogroup.py:262": (
         'raise ValueError("restoration found no escape from a dead end")',
         "fault guard: at a certified map's dead end some solution v of the "
         "escape's system lies outside span(Fix(T), c), and were s0 and every "

@@ -336,8 +336,8 @@ def _mul_rows(a: Sequence[int], b: Sequence[int], cols: int) -> list[int]:
 
 
 def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
-    """The greedy symplectic pairs (x, y) of the alternating form with these
-    Gram rows; ValueError("degenerate form") when an x has no partner.
+    """The greedy symplectic pairs (x, y) of the non-degenerate alternating
+    form with these Gram rows, a QuadraticForm's.
 
     Block Z holds the remaining vectors z_k (at first e_k) and block M their
     Gram, B(z_k, z_j) at bit j of slot k.  x is the first nonzero slot of Z
@@ -347,7 +347,7 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
     alpha beta^T, the congruence by the projection, with no parity fold.  x
     and y become 0, and the zero slots below x are shifted out (ix counts
     them).  The projection has kernel span(x, y), so the rest stay
-    independent; an x with no partner lies in the radical.
+    independent, and as the form is non-degenerate each x has a partner.
     """
     dim = len(gram)
     stride = _stride(dim)
@@ -358,8 +358,6 @@ def _symplectic_pairs(gram: Sequence[int]) -> list[tuple[int, int]]:
         skip = ((z & -z).bit_length() - 1) // stride
         z, m, ix = z >> skip * stride, m >> skip * stride, ix + skip
         row_x = m & mask
-        if not row_x:
-            raise ValueError("degenerate form")
         iy = (row_x & -row_x).bit_length() - 1
         row_y = m >> (iy - ix) * stride & mask
         x, y = z & mask, z >> (iy - ix) * stride & mask

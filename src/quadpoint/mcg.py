@@ -59,7 +59,7 @@ class MappingClass(_Value):
 
     # Run by every construction; benchmark/tracer.py counts them by replacing it.
     def __post_init__(self) -> None:
-        if self.epsilon not in (0, 1):
+        if self.epsilon not in (0, 1) or not isinstance(self.epsilon, int):
             raise ValueError("epsilon must be 0 or 1")
         m = self.action
         if not m.is_square() or m.rows % 2:

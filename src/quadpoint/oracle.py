@@ -2,7 +2,8 @@
 
 These deliberately avoid the structural algorithms they check: group
 membership by filtering the full linear group, and the Arf invariant by
-counting g-values over the whole space.  No command loads this module.
+counting g-values over the whole space.  No command loads this module;
+the benchmark's tracer imports it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import random
 
 from .gf2 import BitMatrix, _product, parity, rank_rows
+# GroupTable is filter_full_linear_group's return type, and benchmark/tracer.py
+# wraps GroupTable.from_elements through this module: keep the import.
 from .orthogroup import GroupTable, OrthogonalMap, _check_dim
-from .quadform import QuadraticForm, _images, _require_nondegenerate
+from .quadform import QuadraticForm, _images
 
 
 def _evaluate_bits(f: QuadraticForm, vbits: int) -> int:
@@ -60,7 +63,6 @@ def preserves_pairwise(f: QuadraticForm, data) -> bool:
 
 def filter_full_linear_group(f: QuadraticForm) -> GroupTable:
     """All invertible matrices preserving f, by scanning the full matrix space."""
-    _require_nondegenerate(f)
     dim = f.dim
     _check_dim(dim, 4, "full linear group filtering")
     mask = (1 << dim) - 1
@@ -78,7 +80,6 @@ def democratic_arf(f: QuadraticForm) -> int:
     Scans all 2^dim vectors in Gray-code order so each step updates g by
     a single polarization increment.
     """
-    _require_nondegenerate(f)
     _check_dim(f.dim, 20, "the democratic g-value count")
     dim = f.dim
     gram = f.gram.data
@@ -98,7 +99,6 @@ def democratic_arf(f: QuadraticForm) -> int:
 def random_orthogonal(f: QuadraticForm, seed: int, length: int) -> OrthogonalMap:
     """Product of `length` transvections along seeded uniform g=1 vectors,
     the first drawn applied first."""
-    _require_nondegenerate(f)
     rng = random.Random(seed)
     dim = f.dim
     gram_g = _images(f)

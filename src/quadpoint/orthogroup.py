@@ -41,7 +41,6 @@ from .quadform import (
     _find_flip,
     _images,
     _pullback_bits,
-    _require_nondegenerate,
     arf,
     evaluate,
 )
@@ -49,7 +48,6 @@ from .quadform import (
 
 def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
     """Matrix of x -> x + B(x,a) a; orthogonal only when g(a) = 1 or a = 0."""
-    _require_nondegenerate(f)
     dim = f.dim
     if a.length != dim:
         raise ValueError("length mismatch")
@@ -59,12 +57,12 @@ def transvection_matrix(f: QuadraticForm, a: BitVector) -> BitMatrix:
 def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
     """Whether m^T gram m = gram and g(m e_i) = g(e_i) for every i.
 
-    By polarization this is g(m x) = g(x) for every x.  On a non-degenerate
-    form it also makes m invertible, since det(m)^2 det(gram) = det(gram) != 0.
+    By polarization this is g(m x) = g(x) for every x.  The form is
+    non-degenerate, so it also makes m invertible, since det(m)^2 det(gram) =
+    det(gram) != 0.
     The columns' Gram images and g-values it reads through _pullback_bits
     stay in _columns' cache, where the restoration of the same m reads them.
     """
-    _require_nondegenerate(f)
     if not m.is_square() or m.rows != f.dim:
         raise ValueError("dimension mismatch")
     return _pullback_bits(f, m.data) == (f.gram.data, f.basis_g.bits)
@@ -117,7 +115,6 @@ def umap_partition(f: QuadraticForm) -> tuple[frozenset[BitVector], frozenset[Bi
     """
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
-    _require_nondegenerate(f)
     if arf(f) != 0:
         raise ValueError("the partition exists only for Arf invariant 0")
     gram_g = _images(f)
@@ -293,7 +290,6 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
 def recompose(f: QuadraticForm, u_flag: int, word: Iterable[BitVector]) -> BitMatrix:
     """Product of the decomposition: swap first (if u_flag is 1), then the
     word, as one _product of their steps."""
-    _require_nondegenerate(f)
     if u_flag not in (0, 1):
         raise ValueError("u_flag must be 0 or 1")
     dim = f.dim
@@ -339,7 +335,6 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     two _swap_steps for the swap.
     """
     dim = f.dim
-    _require_nondegenerate(f)
     _check_dim(dim, ENUMERATION_MAX_DIM, "group enumeration")
     stride = _stride(dim)
     gram_g = _images(f)

@@ -3,7 +3,8 @@
 A quadratic form g satisfies g(x+y) = g(x) + g(y) + B(x,y) for a
 symmetric bilinear form B with zero diagonal, so g is determined by its
 Gram matrix and its values on basis vectors, and is evaluated by
-polarization.  Non-degenerate forms live on even-dimensional spaces,
+polarization.  A QuadraticForm is non-degenerate, checked once at
+construction; such forms live on even-dimensional spaces,
 admit symplectic bases, and fall into exactly two isomorphism classes
 per dimension, separated by the Arf invariant.
 """
@@ -31,10 +32,13 @@ from .gf2 import (
 
 
 class QuadraticForm(_Value):
-    """A quadratic form given by its Gram matrix and basis values.
+    """A non-degenerate quadratic form given by its Gram matrix and basis values.
 
-    gram[i][j] = B(e_i, e_j) must be symmetric with zero diagonal;
-    basis_g[i] = g(e_i).
+    gram[i][j] = B(e_i, e_j) must be symmetric with zero diagonal and
+    invertible; basis_g[i] = g(e_i).  The rank of the Gram is checked here,
+    once: a Gram of rank below dim raises ValueError("degenerate form"), so
+    no function that takes a form checks again.  An alternating Gram has
+    even rank, so dim is even.
     """
 
     __slots__ = ("dim", "gram", "basis_g")
@@ -49,6 +53,8 @@ class QuadraticForm(_Value):
                 raise ValueError(f"Gram diagonal must vanish (row {i})")
         if _transpose(gram.data, dim) != list(gram.data):
             raise ValueError("Gram matrix must be symmetric")
+        if rank_rows(gram.data) != dim:
+            raise ValueError("degenerate form")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis_g", basis_g)
@@ -126,37 +132,27 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
 
 @lru_cache(maxsize=1)
 def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...]:
-    """The greedy symplectic pairs (a_i, b_i) of a Gram matrix, with
+    """The greedy symplectic pairs (a_i, b_i) of a form's Gram matrix, with
     B(a_i, a_j) = B(b_i, b_j) = 0 and B(a_i, b_j) = delta_ij.
 
     Repeatedly takes the first remaining vector x, the first partner y
     with B(x,y) = 1, and projects the rest to the orthogonal complement of
     the pair, on their Gram block updated by congruence, so that no B is
-    recomputed (gf2._symplectic_pairs).  An x with no partner lies in the
-    radical: ValueError("degenerate form"), which is not cached.
-    Non-degeneracy's certificate, keyed by the Gram, not the form; the
-    latest Gram's pairs are kept, which recompose reads for the Gram that
-    OrthogonalMap certified one call earlier.
+    recomputed (gf2._symplectic_pairs); the Gram is invertible, so every x
+    has a partner.  The pairs serve the Arf invariant alone.  Keyed by the
+    Gram, not the form, so forms sharing a Gram (a surface's) reduce it
+    once; the latest Gram's pairs are kept.
     """
     return tuple(_symplectic_pairs(gram.data))
 
 
-def _require_nondegenerate(f: QuadraticForm) -> tuple[tuple[int, int], ...]:
-    """The symplectic pairs of f's Gram, or ValueError("degenerate form")."""
-    return _gram_pairs(f.gram)
-
-
 @lru_cache(maxsize=1)
 def arf(f: QuadraticForm) -> int:
-    """Arf invariant: sum of g(a_i) g(b_i) over the symplectic pairs.
-
-    The pairs come first, so a degenerate form raises before it can evict
-    the one form whose _images tables are kept.
-    """
-    pairs = _require_nondegenerate(f)
+    """Arf invariant: sum of g(a_i) g(b_i) over the symplectic pairs of the
+    form's Gram (_gram_pairs)."""
     gram_g = _images(f)
     acc = 0
-    for a, b in pairs:
+    for a, b in _gram_pairs(f.gram):
         acc ^= gram_g(a)[1] & gram_g(b)[1]
     return acc
 
@@ -170,8 +166,11 @@ def direct_sum(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
 
 
 def pullback(f: QuadraticForm, p: BitMatrix) -> QuadraticForm:
-    """The form x -> g(p x): Gram becomes p^T gram p, basis values g(p e_i)."""
-    _require_nondegenerate(f)
+    """The form x -> g(p x): Gram becomes p^T gram p, basis values g(p e_i).
+
+    A singular p leaves p^T gram p singular, so the new form raises
+    ValueError("degenerate form").
+    """
     if p.rows != f.dim or p.cols != f.dim:
         raise ValueError("change of basis must be square of matching dimension")
     gram, gbits = _pullback_bits(f, p.data)
@@ -187,7 +186,7 @@ def standard_gram(genus: int) -> BitMatrix:
 
 def standard_form(genus: int, arf_value: int) -> QuadraticForm:
     """The standard non-degenerate form of given genus and Arf invariant."""
-    if arf_value not in (0, 1):
+    if arf_value not in (0, 1) or not isinstance(arf_value, int):
         raise ValueError("arf_value must be 0 or 1")
     if arf_value and not genus:
         raise ValueError("genus 0 only carries the trivial form")
@@ -237,7 +236,6 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     Were g zero on the whole coset, K would be totally isotropic, of
     dimension at least dim - 2; so from dimension 6 on a connector exists.
     """
-    _require_nondegenerate(f)
     dim = f.dim
     k = len(ws)
     for i, w in enumerate(ws):

@@ -30,8 +30,8 @@ from quadpoint.orthogroup import OrthogonalMap, decompose, enumerate_group, reco
 from quadpoint.quadform import (
     QuadraticForm,
     _find_flip,
+    _gram_pairs,
     _images,
-    _require_nondegenerate,
     arf,
     direct_sum,
     pullback,
@@ -231,27 +231,18 @@ def dickson_parity(f):
 
 
 def same_symplectic_pairs(f):
-    """Whether _require_nondegenerate(f) gives the reference pairs, or both
-    raise ValueError("degenerate form")."""
-    try:
-        expected = projected_pairs(f.gram.data)
-    except ValueError as exc:
-        expected = str(exc)
-    try:
-        pairs = _require_nondegenerate(f)
-    except ValueError as exc:
-        return str(exc) == expected == "degenerate form"
-    return list(pairs) == expected
+    """Whether _gram_pairs gives the reference projection's pairs for f's Gram."""
+    return list(_gram_pairs(f.gram)) == projected_pairs(f.gram.data)
 
 
-def nondegenerate(f) -> bool:
-    """Whether f's Gram has symplectic pairs, else "degenerate form" is raised."""
+def form_or_none(dim, rows, gbits=0):
+    """The form with these Gram rows and basis values, or None when the Gram
+    is degenerate, which construction rejects with ValueError("degenerate form")."""
     try:
-        _require_nondegenerate(f)
+        return QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector(dim, gbits))
     except ValueError as exc:
         assert str(exc) == "degenerate form"
-        return False
-    return True
+        return None
 
 
 # -- reference restoration ------------------------------------------------------
@@ -398,18 +389,18 @@ def dim4_arf0_forms():
     """Every non-degenerate Arf-0 form on F_2^4: 28 Gram matrices, 10 g each."""
     for rows in zero_diagonal_grams(4):
         for g in range(16):
-            f = QuadraticForm(4, BitMatrix(4, 4, tuple(rows)), BitVector(4, g))
-            if nondegenerate(f) and arf(f) == 0:
+            f = form_or_none(4, rows, g)
+            if f is not None and arf(f) == 0:
                 yield f
 
 
 STANDARD_CASES = [(1, 0), (1, 1), (2, 0), (2, 1)]
 
-# Two degenerate forms: an odd dimension, and a radical beside a hyperbolic pair.
-DEG3 = QuadraticForm(3, BitMatrix.from_strings(["010", "101", "010"]),
-                     BitVector.from_string("111"))
-DEG4 = QuadraticForm(4, BitMatrix.from_strings(["0100", "1000", "0000", "0000"]),
-                     BitVector.from_string("1000"))
+# The data of two degenerate forms, (dim, gram, basis values), which
+# QuadraticForm rejects: an odd dimension, and a radical beside a hyperbolic pair.
+DEG3 = (3, BitMatrix.from_strings(["010", "101", "010"]), BitVector.from_string("111"))
+DEG4 = (4, BitMatrix.from_strings(["0100", "1000", "0000", "0000"]),
+        BitVector.from_string("1000"))
 
 
 @pytest.fixture(scope="session")

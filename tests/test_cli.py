@@ -176,10 +176,10 @@ class TestErrors:
         ("data/form_deg3.txt", "100/010/001"),
         ("data/form_deg4.txt", "1000/0100/0010/0001"),
     ])
-    @pytest.mark.parametrize("command", ["psi", "decompose", "verify", "enumerate"])
+    @pytest.mark.parametrize("command", ["arf", "psi", "decompose", "verify", "enumerate"])
     def test_degenerate_form(self, command, form, matrix):
         argv = [command, "--form", form]
-        if command != "enumerate":
+        if command not in ("arf", "enumerate"):
             argv += ["--matrix", matrix]
         if command == "verify":
             argv += ["--decomposition", "data/dec_empty.txt"]

@@ -1,12 +1,15 @@
 """The domain contract of every public entry point that takes a form.
 
-Every public function, class and method of the package whose signature
-annotates a parameter as a QuadraticForm or a SurfacePinkallForm is listed
-here exactly once: either it rejects a degenerate form with the ValueError
-named below, or it is form-agnostic, for the reason given.  A new public
-name that takes a form fails test_every_form_entry_point_is_listed until it
-is listed.  REJECTIONS adds the other preconditions no other test breaks,
-each with the exact message it raises.
+A form is non-degenerate by construction: QuadraticForm rejects a Gram of
+rank below its dimension with ValueError("degenerate form"), and a
+SurfacePinkallForm carries the standard Gram, which has full rank.  So no
+entry point meets a degenerate form, and none checks again.  Every public
+function, class and method of the package whose signature annotates a
+parameter as a QuadraticForm or a SurfacePinkallForm is listed in
+ENTRY_POINTS exactly once, with a call on a form.  A new public name that
+takes a form fails test_every_form_entry_point_is_listed until it is listed.
+REJECTIONS adds the other preconditions no other test breaks, each with the
+exact message it raises.
 """
 
 import importlib
@@ -18,52 +21,61 @@ import re
 import pytest
 
 import quadpoint
-from quadpoint import mcg, oracle, orthogroup, quadform
+from quadpoint import formats, mcg, oracle, orthogroup, quadform
 from quadpoint.gf2 import BitMatrix, BitVector
 from quadpoint.mcg import MappingClass, SurfacePinkallForm
-from quadpoint.quadform import QuadraticForm, standard_form
+from quadpoint.quadform import QuadraticForm, pullback, standard_form
 
 from conftest import DEG3, DEG4, random_gram, rref
 
 DEGENERATE = "degenerate form"
 
-# name: (call on a degenerate form f, the message for DEG3, for DEG4).
-REJECTS = {
-    "quadform.arf": (quadform.arf, DEGENERATE, DEGENERATE),
-    "quadform.pullback": (lambda f: quadform.pullback(f, BitMatrix.identity(f.dim)),
-                          DEGENERATE, DEGENERATE),
-    "quadform.find_connector": (
-        lambda f: quadform.find_connector(f, [], BitVector.basis(f.dim, 0),
-                                          BitVector.basis(f.dim, 0)),
-        DEGENERATE, DEGENERATE),
-    "orthogroup.transvection_matrix": (
-        lambda f: orthogroup.transvection_matrix(f, BitVector.basis(f.dim, 0)),
-        DEGENERATE, DEGENERATE),
-    "orthogroup.is_orthogonal": (
-        lambda f: orthogroup.is_orthogonal(f, BitMatrix.identity(f.dim)),
-        DEGENERATE, DEGENERATE),
-    "orthogroup.OrthogonalMap": (
-        lambda f: orthogroup.OrthogonalMap(f, BitMatrix.identity(f.dim)),
-        DEGENERATE, DEGENERATE),
-    "orthogroup.transvection": (
-        lambda f: orthogroup.transvection(f, BitVector.zero(f.dim)), DEGENERATE, DEGENERATE),
-    "orthogroup.umap_partition": (orthogroup.umap_partition,
-                                  "the partition exists only in dimension 4", DEGENERATE),
-    "orthogroup.canonical_umap": (orthogroup.canonical_umap,
-                                  "the partition exists only in dimension 4", DEGENERATE),
-    "orthogroup.recompose": (lambda f: orthogroup.recompose(f, 0, []), DEGENERATE, DEGENERATE),
-    "orthogroup.enumerate_group": (orthogroup.enumerate_group, DEGENERATE, DEGENERATE),
-    "mcg.SurfacePinkallForm": (lambda f: mcg.SurfacePinkallForm(f.dim // 2, f),
-                               "form dimension must be twice the genus",
-                               "Gram matrix must be the standard intersection form"),
-    "oracle.filter_full_linear_group": (oracle.filter_full_linear_group,
-                                        DEGENERATE, DEGENERATE),
-    "oracle.democratic_arf": (oracle.democratic_arf, DEGENERATE, DEGENERATE),
-    "oracle.random_orthogonal": (lambda f: oracle.random_orthogonal(f, 0, 1),
-                                 DEGENERATE, DEGENERATE),
+
+def _on_surface(call):
+    """A call on a form, made through the surface that carries it."""
+    return lambda f: call(SurfacePinkallForm(f.dim // 2, f))
+
+
+# name: a call on a form f.
+ENTRY_POINTS = {
+    "quadform.arf": quadform.arf,
+    "quadform.evaluate": lambda f: quadform.evaluate(f, BitVector.zero(f.dim)),
+    "quadform.bilinear": lambda f: quadform.bilinear(f, BitVector.zero(f.dim),
+                                                     BitVector.zero(f.dim)),
+    "quadform.direct_sum": lambda f: quadform.direct_sum(f, f),
+    "quadform.pullback": lambda f: quadform.pullback(f, BitMatrix.identity(f.dim)),
+    "quadform.find_connector": lambda f: quadform.find_connector(
+        f, [], BitVector(f.dim, 0b11), BitVector(f.dim, 0b11)),
+    "orthogroup.transvection_matrix": lambda f: orthogroup.transvection_matrix(
+        f, BitVector.basis(f.dim, 0)),
+    "orthogroup.is_orthogonal": lambda f: orthogroup.is_orthogonal(f, BitMatrix.identity(f.dim)),
+    "orthogroup.OrthogonalMap": lambda f: orthogroup.OrthogonalMap(f, BitMatrix.identity(f.dim)),
+    "orthogroup.transvection": lambda f: orthogroup.transvection(f, BitVector.zero(f.dim)),
+    "orthogroup.umap_partition": orthogroup.umap_partition,
+    "orthogroup.canonical_umap": orthogroup.canonical_umap,
+    "orthogroup.recompose": lambda f: orthogroup.recompose(f, 0, []),
+    "orthogroup.enumerate_group": orthogroup.enumerate_group,
+    "oracle.filter_full_linear_group": oracle.filter_full_linear_group,
+    "oracle.democratic_arf": oracle.democratic_arf,
+    "oracle.random_orthogonal": lambda f: oracle.random_orthogonal(f, 0, 1),
+    "oracle.preserves_pairwise": lambda f: oracle.preserves_pairwise(
+        f, BitMatrix.identity(f.dim).data),
+    "formats.dump_form": formats.dump_form,
+    "mcg.SurfacePinkallForm": _on_surface(lambda s: s),
+    "mcg.evaluate_word": _on_surface(lambda s: mcg.evaluate_word(s, [])),
+    "mcg.in_orthogonal_mcg": _on_surface(lambda s: mcg.in_orthogonal_mcg(
+        s, MappingClass(BitMatrix.identity(2 * s.genus), 0))),
+    "mcg.mapping_class_parity": _on_surface(lambda s: mcg.mapping_class_parity(
+        s, MappingClass(BitMatrix.identity(2 * s.genus), 0))),
+    "mcg.quadruple_point_invariant": _on_surface(lambda s: mcg.quadruple_point_invariant(
+        s, MappingClass(BitMatrix.identity(2 * s.genus), 0))),
+    "mcg.regularly_homotopic": _on_surface(lambda s: mcg.regularly_homotopic(s, s)),
+    "mcg.equivalent_up_to_diffeomorphism": _on_surface(
+        lambda s: mcg.equivalent_up_to_diffeomorphism(s, s)),
+    "mcg.embedding_realizable": _on_surface(mcg.embedding_realizable),
 }
 # name: call on a form f with a vector or matrix of length n != f.dim, or a
-# genus n too large, for the REJECTS entry points that take one beside the form.
+# genus n too large, for the entry points that take one beside the form.
 MISMATCHED = {
     "quadform.pullback": lambda f, n: quadform.pullback(f, BitMatrix.identity(n)),
     "quadform.find_connector": lambda f, n: quadform.find_connector(
@@ -75,21 +87,6 @@ MISMATCHED = {
     "orthogroup.transvection": lambda f, n: orthogroup.transvection(f, BitVector.basis(n, 0)),
     "orthogroup.recompose": lambda f, n: orthogroup.recompose(f, 0, [BitVector.zero(n)]),
     "mcg.SurfacePinkallForm": lambda f, n: mcg.SurfacePinkallForm(f.dim // 2 + n, f),
-}
-SURFACE = "its SurfacePinkallForm carries the standard Gram, which is non-degenerate"
-FORM_AGNOSTIC = {
-    "quadform.evaluate": "reads g at one vector, by polarization over any Gram",
-    "quadform.bilinear": "reads B at one pair of vectors, for any Gram",
-    "quadform.direct_sum": "joins two forms block-diagonally, degenerate or not",
-    "oracle.preserves_pairwise": "the referee checks the definition, for any form",
-    "formats.dump_form": "writes any form the text format can hold",
-    "mcg.evaluate_word": SURFACE,
-    "mcg.in_orthogonal_mcg": SURFACE,
-    "mcg.mapping_class_parity": SURFACE,
-    "mcg.quadruple_point_invariant": SURFACE,
-    "mcg.regularly_homotopic": SURFACE,
-    "mcg.equivalent_up_to_diffeomorphism": SURFACE,
-    "mcg.embedding_realizable": SURFACE,
 }
 FORM_TYPES = re.compile(r"\b(QuadraticForm|SurfacePinkallForm)\b")
 
@@ -124,47 +121,55 @@ def _form_entry_points():
 
 
 def test_every_form_entry_point_is_listed():
-    assert not REJECTS.keys() & FORM_AGNOSTIC.keys()
-    assert _form_entry_points() == REJECTS.keys() | FORM_AGNOSTIC.keys()
+    assert _form_entry_points() == ENTRY_POINTS.keys()
 
 
-@pytest.mark.parametrize("name", sorted(REJECTS))
+def test_entry_point_calls_run():
+    """Each listed call runs on a form: the genus-2 Arf-0 standard form, on
+    which the swap exists, or for the full-linear-group scan genus 1."""
+    for name, call in ENTRY_POINTS.items():
+        call(standard_form(1 if name == "oracle.filter_full_linear_group" else 2, 0))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_rejects_degenerate_forms(name):
-    """A ValueError with the named message, never a result or another exception."""
-    call, *messages = REJECTS[name]
-    for f, message in zip((DEG3, DEG4), messages):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(f)
+    """The call never runs on DEG3 or DEG4: the form it would take raises
+    ValueError("degenerate form") at construction."""
+    for data in (DEG3, DEG4):
+        with pytest.raises(ValueError, match=f"^{DEGENERATE}$"):
+            ENTRY_POINTS[name](QuadraticForm(*data))
 
 
-def _random_form(rng, dim, degenerate):
-    """A seeded random form of this dimension whose Gram has rank below dim
-    (degenerate) or equal to it, with random basis values."""
+def _random_form_data(rng, dim, degenerate):
+    """The data (dim, gram, basis values) of a seeded random form of this
+    dimension whose Gram has rank below dim (degenerate) or equal to it."""
     while True:
         gram = random_gram(rng, dim)
         if (len(rref(gram, dim)[1]) < dim) == degenerate:
-            return QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)),
-                                 BitVector(dim, rng.getrandbits(dim)))
+            return dim, BitMatrix(dim, dim, tuple(gram)), BitVector(dim, rng.getrandbits(dim))
 
 
 def test_contract_holds_on_seeded_inputs():
     """Beyond DEG3 and DEG4: random degenerate forms of dimensions 1-10, odd
-    ones included, and vectors, matrices or genera of a mismatched size
-    beside degenerate and non-degenerate forms.  Every call raises
-    ValueError (DimensionGuardError is one): it never returns a result and
-    never raises another exception."""
-    assert MISMATCHED.keys() <= REJECTS.keys()
+    ones included, raise "degenerate form" at construction; and vectors,
+    matrices or genera of a mismatched size beside non-degenerate forms
+    raise ValueError (DimensionGuardError is one): a call never returns a
+    result and never raises another exception."""
+    assert MISMATCHED.keys() <= ENTRY_POINTS.keys()
     rng = random.Random(59)
     calls = []
     for _ in range(150):
         dim = rng.randint(1, 10)
-        f = _random_form(rng, dim, degenerate=True)
-        calls += [(name, f, lambda call=call, f=f: call(f))
-                  for name, (call, *_) in REJECTS.items()]
-        for g in (f, _random_form(rng, 2 * rng.randint(0, 4), degenerate=False)):
-            n = rng.choice([k for k in range(1, 11) if k != g.dim])
-            calls += [(name, g, lambda call=call, g=g, n=n: call(g, n))
-                      for name, call in MISMATCHED.items()]
+        data = _random_form_data(rng, dim, degenerate=True)
+        with pytest.raises(ValueError, match=f"^{DEGENERATE}$"):
+            QuadraticForm(*data)
+        g = QuadraticForm(*_random_form_data(rng, 2 * rng.randint(0, 4), degenerate=False))
+        # Once the size of the degenerate form's mismatched calls: drawn still,
+        # so that every later draw stays the same.
+        rng.choice([k for k in range(1, 11) if k != dim])
+        n = rng.choice([k for k in range(1, 11) if k != g.dim])
+        calls += [(name, g, lambda call=call, g=g, n=n: call(g, n))
+                  for name, call in MISMATCHED.items()]
     for name, f, call in calls:
         try:
             result = call()
@@ -211,6 +216,22 @@ REJECTIONS = {
     "random_orthogonal dimension 0": (
         lambda: oracle.random_orthogonal(standard_form(0, 0), 1, 1),
         "the zero-dimensional form has no g=1 vectors"),
+    "umap_partition dimension": (
+        lambda: orthogroup.umap_partition(standard_form(1, 0)),
+        "the partition exists only in dimension 4"),
+    "canonical_umap dimension": (
+        lambda: orthogroup.canonical_umap(standard_form(1, 0)),
+        "the partition exists only in dimension 4"),
+    "SurfacePinkallForm dimension": (
+        lambda: SurfacePinkallForm(2, standard_form(1, 0)),
+        "form dimension must be twice the genus"),
+    "SurfacePinkallForm gram": (  # the standard form with e_1 and e_2 swapped
+        lambda: SurfacePinkallForm(2, pullback(standard_form(2, 0), BitMatrix(
+            4, 4, (0b0001, 0b0100, 0b0010, 0b1000)))),
+        "Gram matrix must be the standard intersection form"),
+    "MappingClass epsilon float": (
+        lambda: MappingClass(BitMatrix.identity(2), 1.0), "epsilon must be 0 or 1"),
+    "standard_form arf float": (lambda: standard_form(1, 1.0), "arf_value must be 0 or 1"),
 }
 
 

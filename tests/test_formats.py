@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import bit_matrices, bit_vectors
 from quadpoint.formats import (
@@ -18,7 +18,7 @@ from quadpoint.formats import (
     parse_surface,
     parse_word,
 )
-from quadpoint.gf2 import BitMatrix, BitVector
+from quadpoint.gf2 import BitMatrix, BitVector, rank_rows
 from quadpoint.mcg import FLIP, UMAP, SurfacePinkallForm, square, twist
 from quadpoint.quadform import QuadraticForm, standard_form
 
@@ -51,6 +51,8 @@ def test_form_semantic_errors_are_value_errors():
     text = "form 2\ng 00\n10\n01\n"  # nonzero diagonal
     with pytest.raises(ValueError):
         parse_form(text)
+    with pytest.raises(ValueError, match="^degenerate form$"):
+        parse_form("form 2\ng 00\n00\n00\n")
 
 
 def test_surface_round_trip():
@@ -128,11 +130,14 @@ def test_decomposition_round_trip():
 
 @st.composite
 def quadratic_forms(draw, max_dim=6):
-    """Any symmetric zero-diagonal Gram, degenerate or not, with any g."""
+    """Any symmetric zero-diagonal Gram of full rank, with any g: a degenerate
+    Gram makes no form."""
     dim = draw(st.integers(0, max_dim))
     upper = [draw(st.integers(0, (1 << dim) - 1)) >> (i + 1) << (i + 1) for i in range(dim)]
     gram = [upper[i] | sum((upper[j] >> i & 1) << j for j in range(i)) for i in range(dim)]
-    return QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)), draw(bit_vectors(dim)))
+    g = draw(bit_vectors(dim))
+    assume(rank_rows(gram) == dim)
+    return QuadraticForm(dim, BitMatrix(dim, dim, tuple(gram)), g)
 
 
 @st.composite

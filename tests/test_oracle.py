@@ -106,9 +106,9 @@ class TestDemocraticArf:
                 assert democratic_arf(f) == arf(f)
 
     def test_degenerate_rejected(self):
-        f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
-        with pytest.raises(ValueError):
-            democratic_arf(f)
+        """The degenerate form raises at construction, before the count."""
+        with pytest.raises(ValueError, match="^degenerate form$"):
+            democratic_arf(QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2)))
 
     def test_guard(self):
         with pytest.raises(DimensionGuardError, match=r"^the democratic g-value count "

@@ -12,7 +12,6 @@ from quadpoint.quadform import (
     QuadraticForm,
     _gram_pairs,
     _images,
-    _require_nondegenerate,
     arf,
     bilinear,
     direct_sum,
@@ -28,9 +27,10 @@ from conftest import (
     all_vectors,
     dim4_arf0_forms,
     eliminated_connector,
+    form_or_none,
     invertible_matrices,
-    nondegenerate,
     nondegenerate_forms,
+    projected_pairs,
     random_gram,
     rref,
     same_symplectic_pairs,
@@ -63,7 +63,7 @@ class TestConstruction:
 
     def test_dim_zero(self):
         f = standard_form(0, 0)
-        assert _require_nondegenerate(f) == ()
+        assert _gram_pairs(f.gram) == ()
         assert arf(f) == 0
 
     @pytest.mark.parametrize("genus, arf_value", [(1, 2), (1, -1), (2, 3), (0, 2)])
@@ -126,25 +126,30 @@ def test_polarization_random_forms(f, data):
 
 class TestNondegenerate:
     def test_standard(self):
-        assert _require_nondegenerate(F30) == ((1, 2), (4, 8), (16, 32))
+        assert _gram_pairs(F30.gram) == ((1, 2), (4, 8), (16, 32))
 
     def test_zero_gram(self):
-        f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
-        assert not nondegenerate(f)
+        assert form_or_none(2, [0, 0]) is None
 
     def test_no_odd_dimension_candidate(self):
         """Every symmetric zero-diagonal Gram in dims 0-6 against the reference rank.
 
-        None is non-degenerate in odd dimension.  On all 33,868 the symplectic
-        basis is the reference projection's, or both raise "degenerate form".
+        None is non-degenerate in odd dimension.  Of all 33,868, construction
+        accepts exactly those of full rank, whose symplectic basis is the
+        reference projection's; on the others the projection raises
+        "degenerate form" too.
         """
         count = total = 0
         for dim in range(7):
             for rows in zero_diagonal_grams(dim):
-                f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector.zero(dim))
+                f = form_or_none(dim, rows)
                 expected = len(rref(rows, dim)[1]) == dim
-                assert nondegenerate(f) == expected
-                assert same_symplectic_pairs(f)
+                assert (f is not None) == expected
+                if f is None:
+                    with pytest.raises(ValueError, match="^degenerate form$"):
+                        projected_pairs(rows)
+                else:
+                    assert same_symplectic_pairs(f)
                 assert not (expected and dim % 2)
                 count += expected
                 total += 1
@@ -154,48 +159,52 @@ class TestNondegenerate:
     @given(st.data())
     def test_planted_radical(self, data):
         """Up to dim 80: the pullback through P D Q, D a diagonal projection that
-        drops some coordinates and P, Q invertible, has a radical."""
+        drops some coordinates and P, Q invertible, has a radical, so building
+        it raises "degenerate form", as the reference projection does."""
         genus = data.draw(st.integers(1, 40))
         dim = 2 * genus
         dropped = data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=4))
         diagonal = BitMatrix(dim, dim, tuple(0 if i in dropped else 1 << i for i in range(dim)))
         p = multiply(multiply(data.draw(invertible_matrices(dim)), diagonal),
                      data.draw(invertible_matrices(dim)))
-        f = pullback(standard_form(genus, data.draw(st.integers(0, 1))), p)
-        assert len(rref(f.gram.data, dim)[1]) < dim
+        base = standard_form(genus, data.draw(st.integers(0, 1)))
+        gram = multiply(multiply(p.transpose(), base.gram), p).data
+        assert len(rref(gram, dim)[1]) < dim
         with pytest.raises(ValueError, match="^degenerate form$"):
-            _require_nondegenerate(f)
-        assert same_symplectic_pairs(f)
+            pullback(base, p)
+        with pytest.raises(ValueError, match="^degenerate form$"):
+            projected_pairs(gram)
 
 
 class TestFormCaches:
     def test_forms_sharing_a_gram_reduce_it_once(self):
-        """Non-degeneracy is cached per Gram: a second form on the same Gram,
-        with other basis values, finds its pairs in the cache."""
+        """The pairs are cached per Gram: the Arf invariant of a second form on
+        the same Gram, with other basis values, finds its pairs in the cache."""
         gram = BitMatrix(40, 40, tuple(random_gram(random.Random(7), 40)))
         forms = [QuadraticForm(40, gram, BitVector(40, g)) for g in (1, 2)]
         before = _gram_pairs.cache_info()
-        assert len({_require_nondegenerate(f) for f in forms}) == 1
+        for f in forms:
+            arf(f)
         after = _gram_pairs.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     def test_degenerate_gram_is_not_cached(self):
-        """A degenerate Gram raises each time and leaves no entry behind."""
+        """A degenerate Gram raises at construction each time, before any
+        form cache sees it."""
+        caches = (_gram_pairs, _images, arf)
         for _ in range(2):
-            before = _gram_pairs.cache_info()
+            before = [cache.cache_info() for cache in caches]
             with pytest.raises(ValueError, match="^degenerate form$"):
-                _require_nondegenerate(DEG4)
-            after = _gram_pairs.cache_info()
-            assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
-            assert after.currsize == before.currsize
+                QuadraticForm(*DEG4)
+            assert [cache.cache_info() for cache in caches] == before
 
     def test_arf_checks_before_building_tables(self):
-        """arf of a degenerate form raises before _images, so the one cached
-        table, another form's, stays."""
+        """arf never sees a degenerate form: its construction raises before
+        _images, so the one cached table, another form's, stays."""
         evaluate(F20, BitVector.zero(4))
         before = _images.cache_info()
         with pytest.raises(ValueError, match="^degenerate form$"):
-            arf(DEG4)
+            arf(QuadraticForm(*DEG4))
         evaluate(F20, BitVector.zero(4))
         after = _images.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
@@ -214,8 +223,10 @@ class TestFormCaches:
         assert count == 280
         found = 0
         for rows in zero_diagonal_grams(6):
-            found += nondegenerate(QuadraticForm(6, BitMatrix(6, 6, tuple(rows)),
-                                                 BitVector.zero(6)))
+            f = form_or_none(6, rows)
+            if f is not None:
+                arf(f)
+                found += 1
             if found > 8:
                 break
         for cache in (_gram_pairs, arf, umap_partition):
@@ -224,22 +235,22 @@ class TestFormCaches:
 
     def test_one_entry_serves_the_round_trip(self):
         """OrthogonalMap -> decompose -> recompose on three fresh forms of
-        dimension 40: each certificate misses _gram_pairs and each recompose
-        hits it, on the Gram certified one call earlier; one entry is left."""
+        dimension 40: each certificate misses _columns and each restoration
+        hits it, on the matrix certified one call earlier; one entry is left."""
         from quadpoint.orthogroup import OrthogonalMap, decompose, recompose
+        from quadpoint.quadform import _columns
 
         rng = random.Random(40)
         cases = []
         while len(cases) < 3:
-            gram = BitMatrix(40, 40, tuple(random_gram(rng, 40)))
-            f = QuadraticForm(40, gram, BitVector(40, rng.getrandbits(40)))
-            if nondegenerate(f):
+            f = form_or_none(40, random_gram(rng, 40), rng.getrandbits(40))
+            if f is not None:
                 cases.append((f, random_orthogonal(f, rng.getrandbits(32), 128).matrix))
-        before = _gram_pairs.cache_info()
+        before = _columns.cache_info()
         for f, m in cases:
             u, word = decompose(OrthogonalMap(f, m))
             assert recompose(f, u, word) == m
-        after = _gram_pairs.cache_info()
+        after = _columns.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (3, 3)
         assert after.currsize == 1
 
@@ -254,9 +265,8 @@ class TestFormCaches:
         cases = []
         for dim in range(52, 77, 2):
             f = None
-            while f is None or not nondegenerate(f):
-                gram = BitMatrix(dim, dim, tuple(random_gram(rng, dim)))
-                f = QuadraticForm(dim, gram, BitVector(dim, rng.getrandbits(dim)))
+            while f is None:
+                f = form_or_none(dim, random_gram(rng, dim), rng.getrandbits(dim))
             cases.append((f, random_orthogonal(f, rng.getrandbits(32), 128).matrix))
         misses = []
         for _ in range(2):
@@ -283,9 +293,12 @@ def test_gram_image_is_the_matvec(data):
             if (above >> j) & 1:
                 rows[j] |= 1 << i
     gbits = data.draw(st.integers(0, (1 << dim) - 1))
-    f = QuadraticForm(dim, BitMatrix(dim, dim, tuple(rows)), BitVector(dim, gbits))
+    f = form_or_none(dim, rows, gbits)
     v = data.draw(st.integers(0, (1 << dim) - 1))
     x = data.draw(st.integers(0, (1 << dim) - 1))
+    if f is None:  # a degenerate Gram makes no form
+        assert len(rref(rows, dim)[1]) < dim
+        return
     assert _images(f)(v) == (_matvec(f.gram.data, v), _evaluate_bits(f, v))
     assert bilinear(f, BitVector(dim, x), BitVector(dim, v)) == _bil_bits(f, x, v)
 
@@ -304,17 +317,17 @@ def check_symplectic(f, pairs):
 
 class TestSymplecticBasis:
     def test_standard_already_reduced(self):
-        pairs = _require_nondegenerate(F20)
+        pairs = _gram_pairs(F20.gram)
         assert [BitVector(4, a).to01() for a, _ in pairs] == ["1000", "0010"]
         assert [BitVector(4, b).to01() for _, b in pairs] == ["0100", "0001"]
 
     def test_dim_two(self):
-        assert _require_nondegenerate(F11) == ((0b01, 0b10),)
+        assert _gram_pairs(F11.gram) == ((0b01, 0b10),)
 
     @given(nondegenerate_forms(max_genus=40))
     def test_relations_on_random_forms(self, f):
         """Up to dim 80: the relations, and the reference projection's pairs."""
-        check_symplectic(f, _require_nondegenerate(f))
+        check_symplectic(f, _gram_pairs(f.gram))
         assert same_symplectic_pairs(f)
 
     @pytest.mark.parametrize("genus", [1, 2, 4, 5, 8, 13, 26, 32, 33, 38])
@@ -330,15 +343,14 @@ class TestSymplecticBasis:
                     rows.append(r)
             f = pullback(standard_form(genus, arf_value),
                          BitMatrix(dim, dim, tuple(rows)))
-            pairs = _require_nondegenerate(f)
+            pairs = _gram_pairs(f.gram)
             check_symplectic(f, pairs)
             assert rank_rows(v for pair in pairs for v in pair) == dim
             assert same_symplectic_pairs(f)
 
     def test_degenerate_rejected(self):
-        f = QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
-        with pytest.raises(ValueError):
-            _require_nondegenerate(f)
+        with pytest.raises(ValueError, match="^degenerate form$"):
+            QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(2))
 
 
 class TestArf:
@@ -395,7 +407,7 @@ class TestDirectSum:
 
     @given(nondegenerate_forms(max_genus=2), nondegenerate_forms(max_genus=2))
     def test_nondegenerate_closed(self, f1, f2):
-        assert nondegenerate(direct_sum(f1, f2))
+        assert rank_rows(direct_sum(f1, f2).gram.data) == f1.dim + f2.dim
 
 
 def connector_postconditions(f, ws, a1, a2, c):
@@ -539,7 +551,7 @@ class TestFindConnector:
             f = pullback(standard_form(genus, arf_value), BitMatrix(dim, dim, tuple(rows)))
             a_vectors = []
             for a, b in ((BitVector(dim, a), BitVector(dim, b))
-                         for a, b in _require_nondegenerate(f)):
+                         for a, b in _gram_pairs(f.gram)):
                 if not evaluate(f, a):
                     a = b if evaluate(f, b) else a ^ b
                 a_vectors.append(a)
@@ -569,7 +581,8 @@ class TestPullback:
     @settings(max_examples=40)
     @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.data())
     def test_matches_brute_force(self, genus, seed, data):
-        """Gram entries B(p e_i, p e_j) and values g(p e_i), for any square p."""
+        """Gram entries B(p e_i, p e_j) and values g(p e_i), for any square p:
+        a singular p leaves a degenerate Gram, which raises at construction."""
         dim = 2 * genus
         rng = random.Random(seed)
         while True:
@@ -584,11 +597,15 @@ class TestPullback:
                           BitVector(dim, rng.getrandbits(dim)))
         p = BitMatrix(dim, dim, tuple(
             data.draw(st.integers(0, (1 << dim) - 1)) for _ in range(dim)))
-        g = pullback(f, p)
         columns = [p.column(i).bits for i in range(dim)]
-        assert g.gram.data == tuple(
-            sum(_bil_bits(f, ci, cj) << j for j, cj in enumerate(columns))
-            for ci in columns)
+        gram = tuple(sum(_bil_bits(f, ci, cj) << j for j, cj in enumerate(columns))
+                     for ci in columns)
+        if len(rref(gram, dim)[1]) < dim:
+            with pytest.raises(ValueError, match="^degenerate form$"):
+                pullback(f, p)
+            return
+        g = pullback(f, p)
+        assert g.gram.data == gram
         assert g.basis_g.bits == sum(_evaluate_bits(f, c) << i for i, c in enumerate(columns))
 
     @given(nondegenerate_forms(max_genus=2), st.data())

@@ -199,6 +199,16 @@ def test_private_names_have_users():
                 and ident not in named]
 
 
+def test_non_degeneracy_is_certified_at_construction():
+    """QuadraticForm.__init__ checks the Gram's rank once: no module names
+    _require_nondegenerate, and _gram_pairs, whose pairs serve the Arf
+    invariant alone, is named only in quadform, by arf."""
+    assert "quadform.py:QuadraticForm.__init__" in _callers("rank_rows")
+    assert not _users({"_require_nondegenerate"})
+    assert _users({"_gram_pairs"}) == {"quadform.py"}
+    assert set(_callers("_gram_pairs")) == {"quadform.py:arf"}
+
+
 def test_mcg_certifies_each_half_once():
     """MappingClass proves m^T J m = J itself and in_orthogonal_mcg reads only
     the g half off _columns: mcg never names the form-level certificate."""
