@@ -12,9 +12,9 @@ longer traced once all its lines have run.
 The executable lines are those of the compiled code objects (co_lines), so a
 docstring or a nonlocal statement, which runs no instruction, never counts.
 Each unreached line is printed as ``file:line: text``, with the reason when
-ALLOWED names it.  The exit status is 1 when any other line is printed, or
-an allowed line ran, and the suite's own status when it fails.  The suite's
-output goes to stderr.
+ALLOWED names it by its file and stripped text.  The exit status is 1 when
+any other line is printed, or an allowed line ran, and the suite's own
+status when it fails.  The suite's output goes to stderr.
 
 Usage: python3 scripts/reach.py
 """
@@ -30,17 +30,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "quadpoint"
 
-# file:line -> (the line's text, why no input reaches it).
+# (file, the line's stripped text) -> why no input reaches it.  Keyed by text, so
+# an edit above the line leaves its key as it is.
 ALLOWED = {
-    "orthogroup.py:232": (
-        'raise ValueError("restoration failed to reach the identity")',
+    ("orthogroup.py", 'raise ValueError("restoration failed to reach the identity")'):
         "fault guard: each push lowers rank(T + I), and each dead end costs two "
-        "letters at a lower even rank, so a certified map ends within 2 dim pushes"),
-    "orthogroup.py:262": (
-        'raise ValueError("restoration found no escape from a dead end")',
+        "letters at a lower even rank, so a certified map ends within 2 dim pushes",
+    ("orthogroup.py", 'raise ValueError("restoration found no escape from a dead end")'):
         "fault guard: at a certified map's dead end some solution v of the "
         "escape's system lies outside span(Fix(T), c), and were s0 and every "
-        "s0 + k inside that span, every solution would be"),
+        "s0 + k inside that span, every solution would be",
 }
 
 TRACER = '''\
@@ -117,11 +116,11 @@ def main() -> int:
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()
         for line in sorted(executable_lines(path)):
-            key, reached = f"{path.name}:{line}", f"{path}:{line}" in ran
-            shown = f"{key}: {text[line - 1].strip()}"
+            key, reached = (path.name, text[line - 1].strip()), f"{path}:{line}" in ran
+            shown = f"{path.name}:{line}: {key[1]}"
             if key in ALLOWED:
                 print(f"{shown}  [allowed, yet reached]" if reached
-                      else f"{shown}  [allowed: {ALLOWED[key][1]}]")
+                      else f"{shown}  [allowed: {ALLOWED[key]}]")
                 failed |= reached
             elif not reached:
                 print(shown)

@@ -2,17 +2,18 @@
 
 A mapping class is reduced to the pair (action on H_1 with Z/2
 coefficients, orientation bit); an immersed surface is reduced to the
-quadratic form it induces on H_1, refining the intersection form.  For a
-class h preserving the form of a genus-n surface, the parity of
-quadruple points of any regular homotopy from the immersion to its
-h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
+quadratic form it induces on H_1, refining the intersection form on the
+standard symplectic basis a_1, b_1, ..., a_n, b_n, so its Arf invariant is
+read off those pairs.  For a class h preserving the form of a genus-n
+surface, the parity of quadruple points of any regular homotopy from the
+immersion to its h-composition equals rank(h* - Id) + (n+1) eps(h) mod 2.
 """
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, BitVector, _product, _Value, multiply
+from .gf2 import BitMatrix, BitVector, _product, _Value, multiply, parity
 from .orthogroup import _swap_steps, rank_parity
-from .quadform import QuadraticForm, _columns, _images, arf, standard_form, standard_gram
+from .quadform import QuadraticForm, _columns, _images, standard_form, standard_gram
 
 
 class NotRegularlyHomotopicError(ValueError):
@@ -40,6 +41,14 @@ class SurfacePinkallForm(_Value):
     @classmethod
     def standard(cls, genus: int, arf_value: int) -> "SurfacePinkallForm":
         return cls(genus, standard_form(genus, arf_value))
+
+
+def _surface_arf(s: SurfacePinkallForm) -> int:
+    """Arf invariant off the standard pairs (e_2i, e_2i+1) of the surface's
+    Gram: the sum of g(e_2i) g(e_2i+1), bit 2i of g & g >> 1, with no
+    reduction of the Gram."""
+    g = s.form.basis_g.bits
+    return parity(g & g >> 1 & ((1 << 2 * s.genus) - 1) // 3)
 
 
 class MappingClass(_Value):
@@ -114,7 +123,7 @@ def evaluate_word(s: SurfacePinkallForm, word) -> MappingClass:
         elif token.kind == "flip":
             eps ^= 1
         elif token.kind == "umap":
-            if s.genus != 2 or arf(s.form) != 0:
+            if s.genus != 2 or _surface_arf(s) != 0:
                 raise ValueError("the swap token requires genus 2 with Arf 0")
             steps += _swap_steps(s.form)
         else:
@@ -163,12 +172,12 @@ def equivalent_up_to_diffeomorphism(s1: SurfacePinkallForm, s2: SurfacePinkallFo
     """Equivalence after composing with some diffeomorphism: equal Arf."""
     if s1.genus != s2.genus:
         raise ValueError("genus mismatch")
-    return arf(s1.form) == arf(s2.form)
+    return _surface_arf(s1) == _surface_arf(s2)
 
 
 def embedding_realizable(s: SurfacePinkallForm) -> bool:
     """Whether an embedding induces this form: Arf invariant 0."""
-    return arf(s.form) == 0
+    return _surface_arf(s) == 0
 
 
 GENUS1_GENERATORS: dict[int, tuple[tuple[str, tuple[tuple[int, int], tuple[int, int]]], ...]] = {

@@ -131,28 +131,16 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
 # -- structure --------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _gram_pairs(gram: BitMatrix) -> tuple[tuple[int, int], ...]:
-    """The greedy symplectic pairs (a_i, b_i) of a form's Gram matrix, with
-    B(a_i, a_j) = B(b_i, b_j) = 0 and B(a_i, b_j) = delta_ij.
-
-    Repeatedly takes the first remaining vector x, the first partner y
-    with B(x,y) = 1, and projects the rest to the orthogonal complement of
-    the pair, on their Gram block updated by congruence, so that no B is
-    recomputed (gf2._symplectic_pairs); the Gram is invertible, so every x
-    has a partner.  The pairs serve the Arf invariant alone.  Keyed by the
-    Gram, not the form, so forms sharing a Gram (a surface's) reduce it
-    once; the latest Gram's pairs are kept.
-    """
-    return tuple(_symplectic_pairs(gram.data))
-
-
-@lru_cache(maxsize=1)
 def arf(f: QuadraticForm) -> int:
-    """Arf invariant: sum of g(a_i) g(b_i) over the symplectic pairs of the
-    form's Gram (_gram_pairs)."""
+    """Arf invariant: sum of g(a_i) g(b_i) over the greedy symplectic pairs
+    (a_i, b_i) of the form's Gram, B(a_i, a_j) = B(b_i, b_j) = 0 and
+    B(a_i, b_j) = delta_ij (gf2._symplectic_pairs; the Gram is invertible,
+    so every a_i has a partner).  The latest form's value is kept.  A
+    surface's Gram is the standard one, whose pairs need no reduction:
+    mcg reads its invariant off them."""
     gram_g = _images(f)
     acc = 0
-    for a, b in _gram_pairs(f.gram):
+    for a, b in _symplectic_pairs(f.gram.data):
         acc ^= gram_g(a)[1] & gram_g(b)[1]
     return acc
 

@@ -20,6 +20,7 @@ from quadpoint.gf2 import (
     _pack,
     _parities,
     _stride,
+    _symplectic_pairs,
     _transpose,
     _unpack,
     multiply,
@@ -30,7 +31,6 @@ from quadpoint.orthogroup import OrthogonalMap, decompose, enumerate_group, reco
 from quadpoint.quadform import (
     QuadraticForm,
     _find_flip,
-    _gram_pairs,
     _images,
     arf,
     direct_sum,
@@ -231,8 +231,8 @@ def dickson_parity(f):
 
 
 def same_symplectic_pairs(f):
-    """Whether _gram_pairs gives the reference projection's pairs for f's Gram."""
-    return list(_gram_pairs(f.gram)) == projected_pairs(f.gram.data)
+    """Whether _symplectic_pairs gives the reference projection's pairs for f's Gram."""
+    return _symplectic_pairs(f.gram.data) == projected_pairs(f.gram.data)
 
 
 def form_or_none(dim, rows, gbits=0):

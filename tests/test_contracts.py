@@ -199,6 +199,18 @@ REJECTIONS = {
     "QuadraticForm basis length": (
         lambda: QuadraticForm(2, BitMatrix.zero(2, 2), BitVector.zero(3)),
         "basis value vector does not match the dimension"),
+    "QuadraticForm gram diagonal": (
+        lambda: QuadraticForm(2, BitMatrix.identity(2), BitVector.zero(2)),
+        "Gram diagonal must vanish (row 0)"),
+    "QuadraticForm gram asymmetric": (
+        lambda: QuadraticForm(2, BitMatrix(2, 2, (0b10, 0)), BitVector.zero(2)),
+        "Gram matrix must be symmetric"),
+    "pullback shape": (
+        lambda: pullback(standard_form(1, 0), BitMatrix.identity(4)),
+        "change of basis must be square of matching dimension"),
+    "transvection g(a) = 0": (
+        lambda: orthogroup.transvection(standard_form(1, 0), BitVector.basis(2, 0)),
+        "transvection vector must satisfy g(a) = 1 or a = 0"),
     "bilinear length": (
         lambda: quadform.bilinear(standard_form(1, 0), BitVector.zero(3), BitVector.zero(2)),
         "length mismatch"),
@@ -231,6 +243,16 @@ REJECTIONS = {
         "Gram matrix must be the standard intersection form"),
     "MappingClass epsilon float": (
         lambda: MappingClass(BitMatrix.identity(2), 1.0), "epsilon must be 0 or 1"),
+    "MappingClass odd dimension": (
+        lambda: MappingClass(BitMatrix.identity(3), 0), "action must be square of even dimension"),
+    "connected_sum epsilon": (
+        lambda: mcg.connected_sum(MappingClass(BitMatrix.identity(2), 0),
+                                  MappingClass(BitMatrix.identity(2), 1)),
+        "epsilon mismatch"),
+    "orthogonal_group_order odd dimension": (
+        lambda: oracle.orthogonal_group_order(3, 0), "dimension must be even and non-negative"),
+    "BitVector.from_string digit": (
+        lambda: BitVector.from_string("012"), "not a bit string: '012'"),
     "standard_form arf float": (lambda: standard_form(1, 1.0), "arf_value must be 0 or 1"),
 }
 

@@ -16,6 +16,7 @@ from quadpoint.mcg import (
     MappingClass,
     NotRegularlyHomotopicError,
     SurfacePinkallForm,
+    _surface_arf,
     connected_sum,
     embedding_realizable,
     equivalent_up_to_diffeomorphism,
@@ -28,7 +29,13 @@ from quadpoint.mcg import (
     square,
     twist,
 )
-from quadpoint.oracle import _bil_bits, _evaluate_bits, filter_full_linear_group, preserves_pairwise
+from quadpoint.oracle import (
+    _bil_bits,
+    _evaluate_bits,
+    democratic_arf,
+    filter_full_linear_group,
+    preserves_pairwise,
+)
 from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
 from quadpoint.quadform import (
     _columns,
@@ -149,11 +156,20 @@ class TestEvaluateWord:
         assert h == hs
 
     def test_umap_only_on_genus2_arf0(self):
-        h = evaluate_word(S20, [UMAP])
-        assert h.action == canonical_umap(S20.form).matrix
-        for s in (S10, S21):
-            with pytest.raises(ValueError):
-                evaluate_word(s, [UMAP])
+        """On every genus-2 surface, S10 and S21, the swap token is admitted
+        exactly when the genus is 2 and the reduced Gram gives Arf 0, and then
+        acts as canonical_umap; elsewhere it raises its exact message."""
+        surfaces = [SurfacePinkallForm.from_g_values(2, BitVector(4, g)) for g in range(16)]
+        admitted = 0
+        for s in surfaces + [S10, S21]:
+            if s.genus == 2 and arf(s.form) == 0:
+                assert evaluate_word(s, [UMAP]).action == canonical_umap(s.form).matrix
+                admitted += 1
+            else:
+                with pytest.raises(ValueError,
+                                   match="^the swap token requires genus 2 with Arf 0$"):
+                    evaluate_word(s, [UMAP])
+        assert admitted == 10
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -425,6 +441,30 @@ class TestImmersionComparisons:
         assert not embedding_realizable(S11)
         assert embedding_realizable(
             SurfacePinkallForm(2, direct_sum(standard_form(1, 1), standard_form(1, 1))))
+
+    def test_surface_arf_agrees_with_both_referees(self):
+        """The Arf invariant read off the standard pairs equals quadform.arf,
+        which reduces the Gram, and the majority count democratic_arf: on
+        every g at genus 0-3 and on eight seeded g at each genus 4-6.  The
+        two surface questions answer by it."""
+        rng = random.Random(38)
+        cases = [(n, g) for n in range(4) for g in range(1 << 2 * n)]
+        cases += [(n, rng.getrandbits(2 * n)) for n in range(4, 7) for _ in range(8)]
+        for genus, g in cases:
+            s = SurfacePinkallForm.from_g_values(genus, BitVector(2 * genus, g))
+            value = _surface_arf(s)
+            assert value == arf(s.form) == democratic_arf(s.form), (genus, g)
+            assert embedding_realizable(s) == (value == 0)
+            assert equivalent_up_to_diffeomorphism(s, SurfacePinkallForm.standard(genus, value))
+
+    def test_surface_arf_agrees_with_the_reduction_up_to_genus_64(self):
+        """Four seeded g at each genus 1-64, the stride edges among them."""
+        rng = random.Random(64)
+        for genus in range(1, 65):
+            dim = 2 * genus
+            for _ in range(4):
+                s = SurfacePinkallForm.from_g_values(genus, BitVector(dim, rng.getrandbits(dim)))
+                assert _surface_arf(s) == arf(s.form), genus
 
 
 class TestGenus1Generators:

@@ -150,9 +150,8 @@ def test_one_cache_per_fact():
     its literal maxsize: in gf2 the repunits, 32 for the ones and identity
     blocks of the 13 dims a large run meets, and the transpose masks, 16;
     per form the tables, one matrix's columns, the Arf invariant and the
-    dimension-4 partition, and per Gram its symplectic pairs, each keeping
-    the latest one.  No wrapper caches a fact that one of them already
-    holds."""
+    dimension-4 partition, each keeping the latest form.  No wrapper caches
+    a fact that one of them already holds, and nothing is cached per Gram."""
     cached = {f"{name[:-3]}.{node.name}": ast.unparse(d) for name, node in _nodes()
               if isinstance(node, ast.FunctionDef)
               for d in node.decorator_list if "lru_cache" in ast.unparse(d)}
@@ -160,7 +159,6 @@ def test_one_cache_per_fact():
                       "gf2._transpose_masks": "lru_cache(maxsize=16)",
                       "quadform._images": "lru_cache(maxsize=1)",
                       "quadform._columns": "lru_cache(maxsize=1)",
-                      "quadform._gram_pairs": "lru_cache(maxsize=1)",
                       "quadform.arf": "lru_cache(maxsize=1)",
                       "orthogroup.umap_partition": "lru_cache(maxsize=1)"}
 
@@ -201,12 +199,19 @@ def test_private_names_have_users():
 
 def test_non_degeneracy_is_certified_at_construction():
     """QuadraticForm.__init__ checks the Gram's rank once: no module names
-    _require_nondegenerate, and _gram_pairs, whose pairs serve the Arf
-    invariant alone, is named only in quadform, by arf."""
+    _require_nondegenerate, and the greedy symplectic pairs serve the Arf
+    invariant alone: quadform.arf is the one caller of _symplectic_pairs."""
     assert "quadform.py:QuadraticForm.__init__" in _callers("rank_rows")
     assert not _users({"_require_nondegenerate"})
-    assert _users({"_gram_pairs"}) == {"quadform.py"}
-    assert set(_callers("_gram_pairs")) == {"quadform.py:arf"}
+    assert _users({"_symplectic_pairs"}) == {"quadform.py"}
+    assert set(_callers("_symplectic_pairs")) == {"quadform.py:arf"}
+
+
+def test_surfaces_read_arf_off_their_standard_pairs():
+    """A surface's Gram is the standard one, whose symplectic pairs are
+    (e_2i, e_2i+1): mcg reads the Arf invariant off them and names neither
+    quadform.arf nor the reduction _symplectic_pairs."""
+    assert "mcg.py" not in _users({"arf", "_symplectic_pairs"})
 
 
 def test_mcg_certifies_each_half_once():
