@@ -114,7 +114,7 @@ def _cmd_catalog(args) -> int:
     classes = mcg.genus1_generators(args.arf)
     for (name, entries), h in zip(table, classes):
         flat = " ".join(str(e) for row in entries for e in row)
-        parity = mcg.mapping_class_parity(surface, h)
+        parity = mcg.quadruple_point_invariant(surface, h)
         print(f"{name} matrix {flat} epsilon {h.epsilon} Psi {parity}")
     return 0
 
@@ -165,13 +165,10 @@ def _parse(argv) -> SimpleNamespace:
         val = val if eq else next(rest, "-")  # a missing value reads as an option
         need(eq or val[:1] != "-" or val[1:].isdecimal(), f"argument {opt}: expected one argument")
         if opt in _INTS:
-            invalid = f"argument {opt}: invalid int value: {val!r}"
-            digits = val.removeprefix("-")
-            need(digits.isascii() and digits.isdecimal(), invalid)
             try:
-                val = int(val)
-            except ValueError:  # past the interpreter's limit on digits
-                raise _UsageError(invalid) from None
+                val = formats._decimal(val)
+            except ValueError:
+                raise _UsageError(f"argument {opt}: invalid int value: {val!r}") from None
             need(opt not in _BITS or val in (0, 1),
                  f"argument {opt}: invalid choice: {val} (choose from 0, 1)")
         given[opt] = [*given.get(opt, ()), val] if kinds[opt] == _TWICE else val

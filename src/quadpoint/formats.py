@@ -42,14 +42,20 @@ def _row(token: str, width: int, what: str) -> BitVector:
     return v
 
 
+def _decimal(token: str) -> int:
+    """An optional '-' and ASCII decimal digits, as an int, for the formats and
+    the CLI; ValueError otherwise, or past the interpreter's limit on digits."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _int(token: str, what: str) -> int:
     """A non-negative integer written in ASCII decimal digits."""
-    digits = token.removeprefix("-")
     try:
-        if not (digits.isascii() and digits.isdecimal()):
-            raise ValueError
-        value = int(token)
-    except ValueError:  # also past the interpreter's limit on digits
+        value = _decimal(token)
+    except ValueError:
         raise FormatError(f"{what} must be an integer, got {token!r}") from None
     if value < 0:
         raise FormatError(f"{what} must be non-negative, got {value}")

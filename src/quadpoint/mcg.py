@@ -197,7 +197,7 @@ GENUS1_GENERATORS: dict[int, tuple[tuple[str, tuple[tuple[int, int], tuple[int, 
 def genus1_generators(arf_value: int) -> list[MappingClass]:
     """Mod-2 reductions of the torus generator matrices, with orientation
     bits from the sign of the integer determinant."""
-    if arf_value not in (0, 1):
+    if arf_value not in (0, 1) or not isinstance(arf_value, int):
         raise ValueError("arf_value must be 0 or 1")
     return [MappingClass(BitMatrix(2, 2, ((a & 1) | (b & 1) << 1, (c & 1) | (d & 1) << 1)),
                          0 if a * d - b * c > 0 else 1)

@@ -124,7 +124,7 @@ def orthogonal_group_order(dim: int, arf_value: int) -> int:
     """
     if dim % 2 or dim < 0:
         raise ValueError("dimension must be even and non-negative")
-    if arf_value not in (0, 1):
+    if arf_value not in (0, 1) or not isinstance(arf_value, int):
         raise ValueError("arf_value must be 0 or 1")
     if dim == 0:
         if arf_value:

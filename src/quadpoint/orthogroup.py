@@ -10,7 +10,6 @@ where transvections generate only an index-2 subgroup.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import chain
 
 from .gf2 import (
@@ -59,9 +58,7 @@ def is_orthogonal(f: QuadraticForm, m: BitMatrix) -> bool:
 
     By polarization this is g(m x) = g(x) for every x.  The form is
     non-degenerate, so it also makes m invertible, since det(m)^2 det(gram) =
-    det(gram) != 0.
-    The columns' Gram images and g-values it reads through _pullback_bits
-    stay in _columns' cache, where the restoration of the same m reads them.
+    det(gram) != 0.  The restoration of the same m reads its columns off _columns.
     """
     if not m.is_square() or m.rows != f.dim:
         raise ValueError("dimension mismatch")
@@ -106,7 +103,6 @@ def fixed_space(t: OrthogonalMap) -> list[BitVector]:
 
 # -- the exceptional dimension-4, Arf-0 geometry ----------------------------
 
-@lru_cache(maxsize=1)
 def umap_partition(f: QuadraticForm) -> tuple[frozenset[BitVector], frozenset[BitVector]]:
     """The canonical split (v1, v2) of the six g=1 vectors into two triples.
 
@@ -346,7 +342,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     while level:
         seen |= level
         block, count = _pack(level, dim * stride), len(level)
-        ones = _ones.__wrapped__(stride, count * dim)  # one use: not cached
+        ones = _ones(stride, count * dim)
         nxt = set()
         for steps in gens:
             prod = block

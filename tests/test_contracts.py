@@ -254,6 +254,10 @@ REJECTIONS = {
     "BitVector.from_string digit": (
         lambda: BitVector.from_string("012"), "not a bit string: '012'"),
     "standard_form arf float": (lambda: standard_form(1, 1.0), "arf_value must be 0 or 1"),
+    "genus1_generators arf float": (
+        lambda: mcg.genus1_generators(1.0), "arf_value must be 0 or 1"),
+    "orthogonal_group_order arf float": (
+        lambda: oracle.orthogonal_group_order(2, 1.0), "arf_value must be 0 or 1"),
 }
 
 

@@ -769,15 +769,6 @@ class TestEnumerate:
         for m in enumerate_group(F21):
             assert is_orthogonal(F21, m)
 
-    @pytest.mark.parametrize("arf_value", [0, 1])
-    def test_levels_leave_the_ones_cache_alone(self, arf_value):
-        """A BFS level's ones serve that level alone and are never cached: an
-        enumeration leaves _ones at most a dim's ones and identity block."""
-        f = standard_form(2, arf_value)
-        _ones.cache_clear()
-        enumerate_group(f)
-        assert _ones.cache_info().currsize <= 2
-
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuardError):
             enumerate_group(standard_form(5, 0))

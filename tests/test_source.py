@@ -147,20 +147,20 @@ def test_caches_are_bounded():
 
 def test_one_cache_per_fact():
     """The lru_cache functions of the package are exactly these, each with
-    its literal maxsize: in gf2 the repunits, 32 for the ones and identity
-    blocks of the 13 dims a large run meets, and the transpose masks, 16;
-    per form the tables, one matrix's columns, the Arf invariant and the
-    dimension-4 partition, each keeping the latest form.  No wrapper caches
-    a fact that one of them already holds, and nothing is cached per Gram."""
+    its literal maxsize: in gf2 the transpose masks, 16; per form the
+    tables, one matrix's columns and the Arf invariant, each keeping the
+    latest form.  The repunits and the dimension-4 partition are computed
+    afresh.  No wrapper caches a fact that one of them already holds,
+    nothing is cached per Gram, and no module reaches past a cache through
+    __wrapped__."""
     cached = {f"{name[:-3]}.{node.name}": ast.unparse(d) for name, node in _nodes()
               if isinstance(node, ast.FunctionDef)
               for d in node.decorator_list if "lru_cache" in ast.unparse(d)}
-    assert cached == {"gf2._ones": "lru_cache(maxsize=32)",
-                      "gf2._transpose_masks": "lru_cache(maxsize=16)",
+    assert cached == {"gf2._transpose_masks": "lru_cache(maxsize=16)",
                       "quadform._images": "lru_cache(maxsize=1)",
                       "quadform._columns": "lru_cache(maxsize=1)",
-                      "quadform.arf": "lru_cache(maxsize=1)",
-                      "orthogroup.umap_partition": "lru_cache(maxsize=1)"}
+                      "quadform.arf": "lru_cache(maxsize=1)"}
+    assert not _users({"__wrapped__"})
 
 
 def _users(names):
