@@ -17,20 +17,28 @@ from quadpoint.quadform import standard_form
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--genus", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tries", type=int, default=10_000)
+    parser.add_argument("--genus", type=int, default=3, metavar="N")
+    parser.add_argument("--seed", type=int, default=0, metavar="N")
+    parser.add_argument("--tries", type=int, default=10_000, metavar="N")
     args = parser.parse_args()
+    if args.genus < 1:
+        parser.error(f"--genus {args.genus} is below 1, the least genus with a nonzero vector")
 
     f = standard_form(args.genus, 0)
     dim = f.dim
     rng = random.Random(args.seed)
-    vectors = [BitVector(dim, b) for b in range(1, 1 << dim)]
+
+    def random_vector() -> BitVector:
+        """Uniform over the nonzero vectors: a uniform draw, redrawn on 0."""
+        bits = 0
+        while not bits:
+            bits = rng.getrandbits(dim)
+        return BitVector(dim, bits)
 
     def random_symplectic() -> BitMatrix:
         m = BitMatrix.identity(dim)
         for _ in range(rng.randint(1, dim + 2)):
-            m = multiply(transvection_matrix(f, rng.choice(vectors)), m)
+            m = multiply(transvection_matrix(f, random_vector()), m)
         return m
 
     for attempt in range(args.tries):

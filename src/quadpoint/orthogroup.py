@@ -107,14 +107,16 @@ def umap_partition(f: QuadraticForm) -> tuple[frozenset[BitVector], frozenset[Bi
     """The canonical split (v1, v2) of the six g=1 vectors into two triples.
 
     B = 1 between distinct vectors of the same triple, B = 0 across;
-    v1 is the triple containing the lexicographically least vector.
+    v1 is the triple containing the lexicographically least vector.  The
+    count of g = 1 vectors decides the Arf invariant with no reduction: on
+    F_2^4 it is 2^3 - 2 = 6 at Arf 0 and 2^3 + 2 = 10 at Arf 1.
     """
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
-    if arf(f) != 0:
-        raise ValueError("the partition exists only for Arf invariant 0")
     gram_g = _images(f)
     ones = [BitVector(4, v) for v in range(1, 16) if gram_g(v)[1]]
+    if len(ones) != 6:
+        raise ValueError("the partition exists only for Arf invariant 0")
     ones.sort(key=BitVector.to01)
     first, gfirst = ones[0], gram_g(ones[0].bits)[0]
     part1 = frozenset(v for v in ones if v == first or parity(v.bits & gfirst))
@@ -335,7 +337,7 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     stride = _stride(dim)
     gram_g = _images(f)
     gens = [[(gram_g(v)[0], v)] for v in range(1, 1 << dim) if gram_g(v)[1]]
-    if include_umap and dim == 4 and arf(f) == 0:
+    if include_umap and dim == 4 and len(gens) == 6:  # Arf 0 (see umap_partition)
         gens.append(list(_swap_steps(f)))
     shifts = _fold(stride)
     seen, level = set(), {_ones(stride + 1, dim)}

@@ -134,11 +134,10 @@ def bilinear(f: QuadraticForm, x: BitVector, y: BitVector) -> int:
 def arf(f: QuadraticForm) -> int:
     """Arf invariant: sum of g(a_i) g(b_i) over the greedy symplectic pairs
     (a_i, b_i) of the form's Gram, B(a_i, a_j) = B(b_i, b_j) = 0 and
-    B(a_i, b_j) = delta_ij (gf2._symplectic_pairs; the Gram is invertible,
-    so every a_i has a partner).  The latest form's value is kept only while
-    benchmark/tracer.py reads its cache_info(): decompose_large never hits it.  A
-    surface's Gram is the standard one, whose pairs need no reduction:
-    mcg reads its invariant off them."""
+    B(a_i, b_j) = delta_ij (gf2._symplectic_pairs; the Gram is invertible, so
+    every a_i has a partner).  Asked once a question, by the arf command, decompose
+    (dim 4) and find_connector (dims 2, 4), it has no hit in any command or workload;
+    the latest form's value is kept while benchmark/tracer.py reads its cache_info()."""
     gram_g = _images(f)
     acc = 0
     for a, b in _symplectic_pairs(f.gram.data):
@@ -250,11 +249,9 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
             raise ValueError(f"{name} must lie outside the span of the w vectors")
     if bilinear(f, a1, a2):
         raise ValueError("a1 and a2 must be orthogonal")
-
-    arf_value = arf(f)
-    if (dim, arf_value) == (2, 0):
+    if dim == 2 and arf(f) == 0:
         raise ValueError("no connector exists: dimension 2 with Arf 0 is excluded")
-    if (dim, arf_value) == (4, 0) and k == 0 and a1 != a2:
+    if dim == 4 and k == 0 and a1 != a2 and arf(f) == 0:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
     rhs = 1 << dim

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from quadpoint.gf2 import (
     multiply,
     parity,
 )
-from quadpoint.oracle import _bil_bits, _evaluate_bits
+from quadpoint.oracle import _bil_bits, _evaluate_bits, filter_full_linear_group
 from quadpoint.orthogroup import OrthogonalMap, decompose, enumerate_group, recompose
 from quadpoint.quadform import (
     QuadraticForm,
@@ -34,6 +35,7 @@ from quadpoint.quadform import (
     _images,
     arf,
     direct_sum,
+    evaluate,
     pullback,
     standard_form,
 )
@@ -371,6 +373,18 @@ def random_gram(rng, dim: int):
 
 def all_vectors(dim: int):
     return [BitVector(dim, b) for b in range(1 << dim)]
+
+
+def g_one_vectors(f):
+    return [v for v in all_vectors(f.dim) if evaluate(f, v) == 1]
+
+
+@lru_cache(maxsize=None)
+def filtered_table(f):
+    """filter_full_linear_group(f), run once per form for every test that
+    holds a group against the brute-force filter (0.2 s at dimension 4).
+    Callers only read the table."""
+    return filter_full_linear_group(f)
 
 
 def zero_diagonal_grams(dim: int):

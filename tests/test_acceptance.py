@@ -19,7 +19,6 @@ from quadpoint.mcg import (
 )
 from quadpoint.oracle import (
     democratic_arf,
-    filter_full_linear_group,
     orthogonal_group_order,
     random_orthogonal,
 )
@@ -46,7 +45,7 @@ from quadpoint.quadform import (
     standard_gram,
 )
 
-from conftest import all_vectors
+from conftest import all_vectors, filtered_table, g_one_vectors
 from test_mcg import compose, random_word
 
 HERE = Path(__file__).parent
@@ -56,10 +55,6 @@ def report(num, name, elapsed, failures, cap=None):
     ok = not failures and (cap is None or elapsed < cap)
     print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)")
     assert ok, (f"criterion {num}", failures[:5], f"elapsed {elapsed:.1f}s cap {cap}")
-
-
-def g_ones(f):
-    return [v for v in all_vectors(f.dim) if evaluate(f, v) == 1]
 
 
 def test_c1_reference_value_regression():
@@ -117,7 +112,7 @@ def test_c3_transvection_generation(small_groups, dim6_groups):
     failures = []
     # dimensions 2 and 4: closure must equal the brute-force filter exactly
     for (genus, arf_value), group in small_groups.items():
-        table = filter_full_linear_group(standard_form(genus, arf_value))
+        table = filtered_table(standard_form(genus, arf_value))
         if group != set(table.elements):
             failures.append(("closure != filter", genus, arf_value))
         if len(table.elements) != orthogonal_group_order(2 * genus, arf_value):
@@ -174,7 +169,7 @@ def test_c5_image_duality_and_fixed_step(small_groups):
     failures = []
     for (genus, arf_value), group in small_groups.items():
         f = standard_form(genus, arf_value)
-        ones = g_ones(f)
+        ones = g_one_vectors(f)
         for m in group:
             t = OrthogonalMap(f, m)
             diff = m ^ BitMatrix.identity(f.dim)
@@ -263,7 +258,7 @@ def test_c7_connector_exhaustive():
     for genus, arf_value in [(1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]:
         f = standard_form(genus, arf_value)
         dim = f.dim
-        ones = g_ones(f)
+        ones = g_one_vectors(f)
         excluded_40 = (dim, arf_value) == (4, 0)
         for ws in [[]] + list(_isotropic_tuples(f, ones, dim // 2)):
             perp = [
@@ -336,12 +331,13 @@ def test_c8_surface_parity_homomorphism():
 
 
 def test_c9_cli_determinism():
-    from test_cli import GOLDEN_COMMANDS, run_cli
+    from test_cli import GOLDEN_COMMANDS, golden_runs
 
-    t0 = time.monotonic()
+    elapsed = 0.0  # the seconds of the runs, shared with test_cli.test_golden
     failures = []
-    for name, argv in sorted(GOLDEN_COMMANDS.items()):
-        runs = [run_cli(argv) for _ in range(2)]
+    for name in sorted(GOLDEN_COMMANDS):
+        runs, seconds = golden_runs(name)
+        elapsed += seconds
         golden = (HERE / "golden" / f"{name}.txt").read_text()
         if runs[0].returncode != 0 or runs[1].returncode != 0:
             failures.append(("exit", name))
@@ -349,4 +345,4 @@ def test_c9_cli_determinism():
             failures.append(("nondeterministic", name))
         elif runs[0].stdout != golden:
             failures.append(("golden mismatch", name))
-    report(9, "cli determinism", time.monotonic() - t0, failures)
+    report(9, "cli determinism", elapsed, failures)

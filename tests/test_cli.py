@@ -7,11 +7,15 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from quadpoint.quadform import arf
 
 from conftest import bit_product, child_env, rref
 
@@ -52,21 +56,38 @@ def run_cli(argv, cwd=HERE):
         capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
+@lru_cache(maxsize=None)
+def golden_runs(name):
+    """Two child runs of GOLDEN_COMMANDS[name] and the seconds they took,
+    made once for test_golden and acceptance c9, which both assert on them."""
+    t0 = time.monotonic()
+    runs = run_cli(GOLDEN_COMMANDS[name]), run_cli(GOLDEN_COMMANDS[name])
+    return runs, time.monotonic() - t0
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden(name):
-    argv = GOLDEN_COMMANDS[name]
-    first = run_cli(argv)
-    second = run_cli(argv)
+    (first, second), _ = golden_runs(name)
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout  # byte-identical across runs
     assert first.stdout == (GOLDEN / f"{name}.txt").read_text()
     assert first.stderr == ""
 
 
+def test_golden_commands_never_hit_the_arf_cache(monkeypatch):
+    """arf is asked only where its answer decides something, once a question:
+    no golden command reads its cached value, each from an empty cache."""
+    monkeypatch.chdir(HERE)
+    for name, argv in sorted(GOLDEN_COMMANDS.items()):
+        arf.cache_clear()
+        assert run_main(argv) == (0, (GOLDEN / f"{name}.txt").read_text(), ""), name
+        assert arf.cache_info().hits == 0, name
+
+
 def test_matrix_epsilon_defaults_to_zero():
     argv = ["q", "--surface", "data/surf_g2a0.txt", "--matrix", "data/u0.txt"]
-    default, zero, one = (run_cli(argv + extra) for extra in ([], ["--epsilon", "0"],
-                                                             ["--epsilon", "1"]))
+    default, one = run_cli(argv), run_cli(argv + ["--epsilon", "1"])
+    zero = golden_runs("q_umap_matrix")[0][0]  # argv + ["--epsilon", "0"]
     assert default.returncode == zero.returncode == one.returncode == 0
     assert default.stdout == zero.stdout == (GOLDEN / "q_umap_matrix.txt").read_text()
     assert one.stdout != zero.stdout  # genus 2: (n+1) epsilon flips Q
@@ -213,7 +234,7 @@ class TestErrors:
 
 def test_decompose_verify_round_trip(tmp_path):
     dec = tmp_path / "dec.txt"
-    res = run_cli(["decompose", "--form", "data/form_g2a0.txt", "--matrix", "data/u0.txt"])
+    res = golden_runs("decompose_u0")[0][0]
     assert res.returncode == 0
     dec.write_text(res.stdout)
     check = run_cli(["verify", "--form", "data/form_g2a0.txt",

@@ -33,7 +33,6 @@ from quadpoint.oracle import (
     _bil_bits,
     _evaluate_bits,
     democratic_arf,
-    filter_full_linear_group,
     preserves_pairwise,
 )
 from quadpoint.orthogroup import canonical_umap, enumerate_group, transvection_matrix
@@ -47,7 +46,7 @@ from quadpoint.quadform import (
     standard_form,
 )
 
-from conftest import all_vectors, bit_product
+from conftest import all_vectors, bit_product, filtered_table
 
 S0 = SurfacePinkallForm.standard(0, 0)
 S10 = SurfacePinkallForm.standard(1, 0)
@@ -539,15 +538,15 @@ class TestGeneratorCoverage:
         for arf_value in (0, 1):
             s = SurfacePinkallForm.standard(1, arf_value)
             closure = enumerate_group(s.form, include_umap=False)
-            table = filter_full_linear_group(s.form)
+            table = filtered_table(s.form)
             assert closure == set(table.elements)
 
     def test_genus2_arf0_needs_umap(self):
-        table = filter_full_linear_group(S20.form)
+        table = filtered_table(S20.form)
         without = enumerate_group(S20.form, include_umap=False)
         assert len(without) * 2 == len(table.elements)
         assert enumerate_group(S20.form) == set(table.elements)
 
     def test_genus2_arf1_twists_generate(self):
-        table = filter_full_linear_group(S21.form)
+        table = filtered_table(S21.form)
         assert enumerate_group(S21.form, include_umap=False) == set(table.elements)

@@ -23,6 +23,8 @@ from quadpoint.orthogroup import (
 )
 from quadpoint.quadform import QuadraticForm, arf, pullback, standard_form, standard_gram
 
+from conftest import filtered_table
+
 F10 = standard_form(1, 0)
 F11 = standard_form(1, 1)
 F20 = standard_form(2, 0)
@@ -31,23 +33,23 @@ F21 = standard_form(2, 1)
 
 class TestFilter:
     def test_orders(self):
-        assert len(filter_full_linear_group(F10).elements) == 2
-        assert len(filter_full_linear_group(F11).elements) == 6
-        assert len(filter_full_linear_group(F20).elements) == 72
+        assert len(filtered_table(F10).elements) == 2
+        assert len(filtered_table(F11).elements) == 6
+        assert len(filtered_table(F20).elements) == 72
 
     def test_canonical_order(self):
-        table = filter_full_linear_group(F11)
+        table = filtered_table(F11)
         keys = [matrix_key(m) for m in table.elements]
         assert keys == sorted(keys)
 
     def test_members_orthogonal(self):
-        table = filter_full_linear_group(F21)
+        table = filtered_table(F21)
         assert len(table.elements) == 120
         assert all(is_orthogonal(F21, m) for m in table.elements)
 
     def test_matches_closure(self):
         for f in (F10, F11, F20, F21):
-            assert set(filter_full_linear_group(f).elements) == enumerate_group(f)
+            assert set(filtered_table(f).elements) == enumerate_group(f)
 
     def test_guard(self):
         with pytest.raises(DimensionGuardError):

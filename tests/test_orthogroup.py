@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpoint import orthogroup
+from quadpoint import orthogroup, quadform
 from quadpoint.gf2 import (
     BitMatrix,
     BitVector,
@@ -19,12 +19,14 @@ from quadpoint.gf2 import (
     _pack,
     _product,
     _stride,
+    _symplectic_pairs,
     _transpose,
     _unpack,
     multiply,
     rank,
     rank_rows,
 )
+from quadpoint.mcg import UMAP, SurfacePinkallForm, evaluate_word
 from quadpoint.oracle import (
     _bil_bits,
     _evaluate_bits,
@@ -51,8 +53,10 @@ from quadpoint.orthogroup import (
 from quadpoint.quadform import (
     QuadraticForm,
     _pullback_bits,
+    arf,
     bilinear,
     evaluate,
+    find_connector,
     pullback,
     standard_form,
 )
@@ -66,6 +70,7 @@ from conftest import (
     dickson_parity,
     dim4_arf0_forms,
     fold_restoration_word,
+    g_one_vectors,
     nondegenerate_forms,
     random_gram,
     rref_inverse,
@@ -77,10 +82,6 @@ F20 = standard_form(2, 0)
 F21 = standard_form(2, 1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SWAP = BitMatrix.from_strings(["01", "10"])
-
-
-def g_one_vectors(f):
-    return [v for v in all_vectors(f.dim) if evaluate(f, v) == 1]
 
 
 def seeded_form(rng, genus, arf_value):
@@ -414,6 +415,39 @@ class TestIsUMap:
     def test_wrong_form(self):
         with pytest.raises(ValueError):
             is_u_map(OrthogonalMap(F21, BitMatrix.identity(4)))
+
+
+# Each call with the number of Gram reductions (gf2._symplectic_pairs) it runs
+# from an empty arf cache.
+REDUCTIONS = {
+    "evaluate_word_umap_umap": (
+        lambda: evaluate_word(SurfacePinkallForm.standard(2, 0), [UMAP, UMAP]), 0),
+    "enumerate_group": (lambda: enumerate_group(F20), 0),
+    "recompose_swap": (lambda: recompose(F20, 1, []), 0),
+    "canonical_umap": (lambda: canonical_umap(F20), 0),
+    "find_connector_dim6": (
+        lambda: find_connector(standard_form(3, 0), [], BitVector(6, 0b11), BitVector(6, 0b11)), 0),
+    "decompose_swap": (lambda: decompose(canonical_umap(F20)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_arf_is_asked_only_where_it_decides(name, monkeypatch):
+    """The swap reads Arf 0 off the six g = 1 vectors of umap_partition, and
+    enumerate_group off its six generators; find_connector asks arf only in
+    its dimension-2 and dimension-4 exclusions.  decompose asks once, at
+    dimension 4."""
+    call, expected = REDUCTIONS[name]
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _symplectic_pairs(rows)
+
+    monkeypatch.setattr(quadform, "_symplectic_pairs", counted)
+    arf.cache_clear()
+    call()
+    assert len(calls) == expected
 
 
 class TestDecompose:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quadpoint.gf2 import BitMatrix, multiply
 from quadpoint.orthogroup import rank_parity
 
@@ -54,6 +56,18 @@ def test_parity_on_symplectic():
     assert lines[12] == f"psi(T) = {pt}"
     assert lines[13] == f"psi(S T) = {pst} != {ps ^ pt}"
     assert pst != ps ^ pt
+
+
+@pytest.mark.parametrize("genus", ["0", "-1"])
+def test_parity_on_symplectic_refuses_genus_below_one(genus):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "parity_on_symplectic.py"),
+                          "--genus", genus],
+                         capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (res.returncode, res.stdout) == (2, "")
+    usage, error = res.stderr.splitlines()  # argparse's usage line, then the error
+    assert usage.startswith("usage: parity_on_symplectic.py")
+    assert error == (f"parity_on_symplectic.py: error: --genus {genus} is below 1, "
+                     "the least genus with a nonzero vector")
 
 
 def test_reach_allow_list_holds_its_lines():

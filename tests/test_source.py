@@ -214,6 +214,14 @@ def test_surfaces_read_arf_off_their_standard_pairs():
     assert "mcg.py" not in _users({"arf", "_symplectic_pairs"})
 
 
+def test_arf_is_called_where_it_decides():
+    """The swap reads Arf 0 off the count of its g = 1 vectors and
+    enumerate_group off its generators: arf is called in decompose at
+    dimension 4 and in find_connector's dimension-2 and dimension-4
+    exclusions alone (the arf command calls quadform.arf)."""
+    assert set(_callers("arf")) == {"orthogroup.py:decompose", "quadform.py:find_connector"}
+
+
 def test_mcg_certifies_each_half_once():
     """MappingClass proves m^T J m = J itself and in_orthogonal_mcg reads only
     the g half off _columns: mcg never names the form-level certificate."""
