@@ -38,9 +38,9 @@ from .quadform import (
     QuadraticForm,
     _columns,
     _find_flip,
+    _g_ones,
     _images,
     _pullback_bits,
-    arf,
     evaluate,
 )
 
@@ -108,13 +108,13 @@ def umap_partition(f: QuadraticForm) -> tuple[frozenset[BitVector], frozenset[Bi
 
     B = 1 between distinct vectors of the same triple, B = 0 across;
     v1 is the triple containing the lexicographically least vector.  The
-    count of g = 1 vectors decides the Arf invariant with no reduction: on
-    F_2^4 it is 2^3 - 2 = 6 at Arf 0 and 2^3 + 2 = 10 at Arf 1.
+    count of g = 1 vectors (_g_ones) decides the Arf invariant with no
+    reduction: 6 at Arf 0 and 10 at Arf 1.
     """
     if f.dim != 4:
         raise ValueError("the partition exists only in dimension 4")
     gram_g = _images(f)
-    ones = [BitVector(4, v) for v in range(1, 16) if gram_g(v)[1]]
+    ones = [BitVector(4, v) for v in _g_ones(f)]
     if len(ones) != 6:
         raise ValueError("the partition exists only for Arf invariant 0")
     ones.sort(key=BitVector.to01)
@@ -276,11 +276,13 @@ def decompose(t: OrthogonalMap) -> tuple[int, list[BitVector]]:
     singular, costs one two-letter escape.  So the word has rank(w - Id)
     letters plus 2 per dead end, at most 2 rank(w - Id), where w is t, or t
     times the swap when u_flag is 1; its length is congruent to
-    rank(t - Id) mod 2.
+    rank(t - Id) mod 2.  The swap exists where _g_ones counts six
+    (dimension 4, Arf 0); its rows are recompose(f, 1, []), and only t
+    times them is certified.
     """
     f = t.form
-    if f.dim == 4 and arf(f) == 0 and is_u_map(t):
-        swapped = multiply(t.matrix, canonical_umap(f).matrix)
+    if f.dim == 4 and len(_g_ones(f)) == 6 and is_u_map(t):
+        swapped = multiply(t.matrix, recompose(f, 1, []))
         return 1, _restoration_word(OrthogonalMap(f, swapped))
     return 0, _restoration_word(t)
 
@@ -336,8 +338,8 @@ def enumerate_group(f: QuadraticForm, include_umap: bool = True) -> set[BitMatri
     _check_dim(dim, ENUMERATION_MAX_DIM, "group enumeration")
     stride = _stride(dim)
     gram_g = _images(f)
-    gens = [[(gram_g(v)[0], v)] for v in range(1, 1 << dim) if gram_g(v)[1]]
-    if include_umap and dim == 4 and len(gens) == 6:  # Arf 0 (see umap_partition)
+    gens = [[(gram_g(v)[0], v)] for v in _g_ones(f)]
+    if include_umap and dim == 4 and len(gens) == 6:  # Arf 0 (see _g_ones)
         gens.append(list(_swap_steps(f)))
     shifts = _fold(stride)
     seen, level = set(), {_ones(stride + 1, dim)}

@@ -135,14 +135,24 @@ def arf(f: QuadraticForm) -> int:
     """Arf invariant: sum of g(a_i) g(b_i) over the greedy symplectic pairs
     (a_i, b_i) of the form's Gram, B(a_i, a_j) = B(b_i, b_j) = 0 and
     B(a_i, b_j) = delta_ij (gf2._symplectic_pairs; the Gram is invertible, so
-    every a_i has a partner).  Asked once a question, by the arf command, decompose
-    (dim 4) and find_connector (dims 2, 4), it has no hit in any command or workload;
-    the latest form's value is kept while benchmark/tracer.py reads its cache_info()."""
+    every a_i has a partner).  Only the arf command asks it, once a question:
+    the engine reads Arf at dimensions 2 and 4 off the count of _g_ones, so the
+    cache has no hit in any command or workload; the latest form's value is
+    kept while benchmark/tracer.py reads its cache_info()."""
     gram_g = _images(f)
     acc = 0
     for a, b in _symplectic_pairs(f.gram.data):
         acc ^= gram_g(a)[1] & gram_g(b)[1]
     return acc
+
+
+def _g_ones(f: QuadraticForm) -> list[int]:
+    """The nonzero vectors with g = 1 of a small form, in increasing order.
+    Their count decides the Arf invariant with no reduction (Arf 1941): on
+    F_2^2m it is 2^(2m-1) - 2^(m-1) at Arf 0 and 2^(2m-1) + 2^(m-1) at
+    Arf 1, so 1 or 3 at dimension 2 and 6 or 10 at dimension 4."""
+    gram_g = _images(f)
+    return [v for v in range(1, 1 << f.dim) if gram_g(v)[1]]
 
 
 def direct_sum(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
@@ -215,12 +225,13 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
     a2 must lie in the orthogonal complement of W = span(w_i) but outside W,
     with g = 1 and B(a1,a2) = 0.  No such c exists in dimension 2 with
     Arf 0, nor in dimension 4 with Arf 0 when k = 0 and a1 != a2; those
-    requests are rejected.  The candidates are the solutions b + K of one
-    reduced system, the rows G w_i with right-hand side 0 and G a1, G a2
-    with right-hand side 1: consistent, as G is invertible and a1, a2 lie
-    outside W.  b has free variables zero (see _solution), and the kernel K
-    holds W.  c is the first element of the coset that _find_flip meets, with
-    w_1 searched first, so with w vectors c is b, or b + w_1 if g(b) = 0.
+    requests are rejected, with Arf 0 read off the count of _g_ones.  The
+    candidates are the solutions b + K of one reduced system, the rows G w_i
+    with right-hand side 0 and G a1, G a2 with right-hand side 1:
+    consistent, as G is invertible and a1, a2 lie outside W.  b has free
+    variables zero (see _solution), and the kernel K holds W.  c is the
+    first element of the coset that _find_flip meets, with w_1 searched
+    first, so with w vectors c is b, or b + w_1 if g(b) = 0.
     Were g zero on the whole coset, K would be totally isotropic, of
     dimension at least dim - 2; so from dimension 6 on a connector exists.
     """
@@ -249,9 +260,9 @@ def find_connector(f: QuadraticForm, ws: Sequence[BitVector],
             raise ValueError(f"{name} must lie outside the span of the w vectors")
     if bilinear(f, a1, a2):
         raise ValueError("a1 and a2 must be orthogonal")
-    if dim == 2 and arf(f) == 0:
+    if dim == 2 and len(_g_ones(f)) == 1:
         raise ValueError("no connector exists: dimension 2 with Arf 0 is excluded")
-    if dim == 4 and k == 0 and a1 != a2 and arf(f) == 0:
+    if dim == 4 and k == 0 and a1 != a2 and len(_g_ones(f)) == 6:
         raise ValueError(
             "no connector exists: dimension 4 with Arf 0 requires k > 0 or a1 = a2")
     rhs = 1 << dim

@@ -425,18 +425,22 @@ REDUCTIONS = {
     "enumerate_group": (lambda: enumerate_group(F20), 0),
     "recompose_swap": (lambda: recompose(F20, 1, []), 0),
     "canonical_umap": (lambda: canonical_umap(F20), 0),
+    "find_connector_dim2": (
+        lambda: find_connector(F11, [], BitVector(2, 0b01), BitVector(2, 0b01)), 0),
+    "find_connector_dim4": (
+        lambda: find_connector(F21, [], BitVector(4, 0b0001), BitVector(4, 0b1100)), 0),
     "find_connector_dim6": (
         lambda: find_connector(standard_form(3, 0), [], BitVector(6, 0b11), BitVector(6, 0b11)), 0),
-    "decompose_swap": (lambda: decompose(canonical_umap(F20)), 1),
+    "decompose_swap": (lambda: decompose(canonical_umap(F20)), 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
 def test_arf_is_asked_only_where_it_decides(name, monkeypatch):
-    """The swap reads Arf 0 off the six g = 1 vectors of umap_partition, and
-    enumerate_group off its six generators; find_connector asks arf only in
-    its dimension-2 and dimension-4 exclusions.  decompose asks once, at
-    dimension 4."""
+    """At dimensions 2 and 4 Arf is read off the count of _g_ones: the swap
+    off the six g = 1 vectors of umap_partition, enumerate_group off its six
+    generators, decompose at dimension 4 and find_connector's dimension-2 and
+    dimension-4 exclusions off the count.  None of them reduces a Gram."""
     call, expected = REDUCTIONS[name]
     calls = []
 

@@ -2,14 +2,16 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpoint.gf2 import BitMatrix, BitVector, _matvec, _symplectic_pairs, multiply, rank_rows
-from quadpoint.oracle import _bil_bits, _evaluate_bits, random_orthogonal
+from quadpoint.oracle import _bil_bits, _evaluate_bits, democratic_arf, random_orthogonal
 from quadpoint.quadform import (
     QuadraticForm,
+    _g_ones,
     _images,
     arf,
     bilinear,
@@ -26,6 +28,7 @@ from conftest import (
     all_vectors,
     eliminated_connector,
     form_or_none,
+    g_one_vectors,
     invertible_matrices,
     nondegenerate_forms,
     projected_pairs,
@@ -339,6 +342,30 @@ class TestArf:
             for gbits in range(1 << dim):
                 f = QuadraticForm(dim, gram, BitVector(dim, gbits))
                 assert (arf(f) == 0) == (brute_zero_count(f, vectors) == expected_zeros)
+
+    @pytest.mark.parametrize("dim, expected", [
+        (2, {(1, 0): 3, (3, 1): 1}),
+        (4, {(6, 0): 280, (10, 1): 168}),
+    ])
+    def test_g_one_count_decides_arf(self, dim, expected):
+        """On every non-degenerate form of dimension 2 and 4, _g_ones lists
+        the g = 1 vectors, and their count, 2^(2m-1) - 2^(m-1) at Arf 0 and
+        2^(2m-1) + 2^(m-1) at Arf 1, agrees with arf's reduction and the
+        majority count: (count, Arf) -> number of forms."""
+        m = dim // 2
+        arf0_count = (1 << (dim - 1)) - (1 << (m - 1))
+        seen = Counter()
+        for rows in zero_diagonal_grams(dim):
+            for gbits in range(1 << dim):
+                f = form_or_none(dim, rows, gbits)
+                if f is None:
+                    continue
+                ones = _g_ones(f)
+                assert ones == [v.bits for v in g_one_vectors(f)]
+                value = int(len(ones) != arf0_count)
+                assert value == arf(f) == democratic_arf(f), (rows, gbits)
+                seen[len(ones), value] += 1
+        assert seen == expected
 
     def test_democratic_count_dim10(self):
         gram = standard_gram(5)

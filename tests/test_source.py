@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import quadpoint
@@ -18,12 +19,19 @@ NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "pathlib", "argparse", "ge
                   "random", "quadpoint.oracle")
 
 
+@lru_cache(maxsize=1)
+def _trees():
+    """(file name, module tree) for every module of the package, parsed once
+    for the whole file: the tests read the trees and change none."""
+    return tuple((path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+                 for path in sorted(PACKAGE.glob("*.py")))
+
+
 def _nodes():
     """(file name, node) for every AST node of the package source."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in _trees():
         for node in ast.walk(tree):
-            yield path.name, node
+            yield name, node
 
 
 def test_no_assert_statements():
@@ -176,13 +184,13 @@ def test_private_names_have_users():
     is named somewhere other than its definition: nothing is kept that no
     caller reaches."""
     defined = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for name, tree in _trees():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.name, node.lineno, node.name))
+                defined.append((name, node.lineno, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(path.name, node.lineno, t.id)
+                defined += [(name, node.lineno, t.id)
                             for t in targets if isinstance(t, ast.Name)]
     named = set()
     for _, node in _nodes():
@@ -215,11 +223,15 @@ def test_surfaces_read_arf_off_their_standard_pairs():
 
 
 def test_arf_is_called_where_it_decides():
-    """The swap reads Arf 0 off the count of its g = 1 vectors and
-    enumerate_group off its generators: arf is called in decompose at
-    dimension 4 and in find_connector's dimension-2 and dimension-4
-    exclusions alone (the arf command calls quadform.arf)."""
-    assert set(_callers("arf")) == {"orthogroup.py:decompose", "quadform.py:find_connector"}
+    """The engine reads Arf at dimensions 2 and 4 off the count of
+    quadform._g_ones, which umap_partition and enumerate_group list through,
+    and decompose and find_connector count: no package function but the arf
+    command names arf, and orthogroup does not import it."""
+    assert set(_callers("arf")) == {"cli.py:_cmd_arf"}
+    assert set(_callers("_g_ones")) == {
+        "quadform.py:find_connector", "orthogroup.py:umap_partition",
+        "orthogroup.py:decompose", "orthogroup.py:enumerate_group"}
+    assert "orthogroup.py" not in _users({"arf"})
 
 
 def test_mcg_certifies_each_half_once():
@@ -231,10 +243,12 @@ def test_mcg_certifies_each_half_once():
 
 def _callers(name):
     """{"module:function": [its calls of name]} for every module-level function
-    or Class.method of the package that names name."""
+    or Class.method of the package that names name, bare or through its
+    module (quadform.name)."""
+    modules = {module[:-3] for module, _ in _trees()}
     callers = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _trees():
+        for top in tree.body:
             if isinstance(top, ast.ClassDef):
                 funcs = [(f"{top.name}.{f.name}", f) for f in top.body
                          if isinstance(f, ast.FunctionDef)]
@@ -244,9 +258,11 @@ def _callers(name):
                 continue
             for qualname, func in funcs:
                 refs = [node for node in ast.walk(func)
-                        if isinstance(node, ast.Name) and node.id == name]
+                        if (isinstance(node, ast.Name) and node.id == name)
+                        or (isinstance(node, ast.Attribute) and node.attr == name
+                            and isinstance(node.value, ast.Name) and node.value.id in modules)]
                 if refs:
-                    callers[f"{path.name}:{qualname}"] = [
+                    callers[f"{module}:{qualname}"] = [
                         node for node in ast.walk(func)
                         if isinstance(node, ast.Call) and node.func in refs]
     return callers
